@@ -570,6 +570,26 @@ def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationRep
         check_contingency_operation(grid, scenarios))
 
 
+def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
+    """Open load-break switches whose closing alone closes a ring, in switch
+    id order, each with the conducting path that forms the rest of it."""
+    state = _state_map(grid, None)
+    out = []
+    for sw in sorted(grid.switches, key=lambda s: s.id):
+        if state[sw.id] or sw.kind != "load_break":
+            continue
+        line = grid.lines_by_id[sw.line]
+        if not line.in_service:
+            continue
+        if any(not state[s.id] for s in grid.switches_by_line.get(line.id, ())
+               if s.id != sw.id):
+            continue  # closing this switch alone does not conduct
+        ring = conducting_path(grid, state, line.id, line.from_bus, line.to_bus)
+        if ring is not None:  # else closing would extend supply, not ring it
+            out.append((sw, ring))
+    return out
+
+
 def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
                       ) -> tuple[Grid, tuple[Measure, ...], ViolationReport]:
     """Greedily move open points around their rings while that strictly
@@ -579,23 +599,11 @@ def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
     while not report.feasible:
         score = (len(report), report.total_magnitude)
         best = None  # (score, close_id, open_id, grid, report)
-        state = _state_map(grid, None)
-        for sectioning in sorted(grid.switches, key=lambda s: s.id):
-            if state[sectioning.id] or sectioning.kind != "load_break":
-                continue
-            line = grid.lines_by_id[sectioning.line]
-            if not line.in_service:
-                continue
-            others = grid.switches_by_line.get(line.id, ())
-            if any(not state[s.id] for s in others if s.id != sectioning.id):
-                continue  # closing this switch alone does not conduct
-            ring = conducting_path(grid, state, line.id, line.from_bus, line.to_bus)
-            if ring is None:
-                continue  # not a sectioning point, closing would extend supply
+        for sectioning, ring in _tie_points(grid):
             for ring_line in ring:
                 for sw in sorted(grid.switches_by_line.get(ring_line, ()),
                                  key=lambda s: s.id):
-                    if not state[sw.id] or sw.kind != "load_break":
+                    if not sw.closed or sw.kind != "load_break":
                         continue
                     trial = apply_measures(grid, (
                         Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
@@ -716,23 +724,8 @@ def phase3_automate(grid: Grid, baseline: FmeaResult,
 def _closure_candidates(grid: Grid) -> list[Switch]:
     """Open sectioning points at secondary substations whose closing would
     mesh two otherwise separate feeder branches."""
-    state = _state_map(grid, None)
-    out = []
-    for sw in sorted(grid.switches, key=lambda s: s.id):
-        if state[sw.id] or sw.kind != "load_break":
-            continue
-        if grid.buses_by_id[sw.bus].kind != "secondary_substation":
-            continue
-        line = grid.lines_by_id[sw.line]
-        if not line.in_service:
-            continue
-        if any(not state[s.id] for s in grid.switches_by_line.get(line.id, ())
-               if s.id != sw.id):
-            continue
-        if conducting_path(grid, state, line.id, line.from_bus, line.to_bus) is None:
-            continue
-        out.append(sw)
-    return out
+    return [sw for sw, _ in _tie_points(grid)
+            if grid.buses_by_id[sw.bus].kind == "secondary_substation"]
 
 
 def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str],

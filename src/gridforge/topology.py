@@ -11,6 +11,12 @@ circuit breakers bounding the galvanically affected region, the two switches
 adjacent to the faulted line are opened to isolate it, the tripped breakers
 are re-closed where that does not re-energize the fault, and normally-open
 sectioning points are closed until no further station can be resupplied.
+
+All infeeds hang off one virtual root, joined to every source bus by an edge
+that is no line and can never be cut or opened. The second-path check and
+the sectioning-point search both start at that root, so several infeeds need
+no special case: a path between two infeeds is one more cycle through the
+root and is cut like a ring.
 """
 
 from __future__ import annotations
@@ -118,9 +124,9 @@ def check_supply(grid: Grid, switch_state: dict[str, bool] | None = None) -> lis
 def _split_graph(grid: Grid, state: dict[str, bool]):
     """Split-node view used for radiality: busbars split per incident edge.
 
-    Returns (edges, splitting) where edges are logical conducting branches
-    (exact parallels collapsed, transformers included) as tuples
-    (node_u, node_v, key, is_line, line_ids) over split-aware node ids.
+    Returns the logical conducting branches (exact parallels collapsed,
+    transformers included) as tuples (node_u, node_v, key, is_line,
+    line_ids) over split-aware node ids.
     """
     energized = _energized(grid, state)
     splitting = {b.id for b in grid.buses if b.kind in SPLITTING_KINDS and b.id in energized}
@@ -143,7 +149,7 @@ def _split_graph(grid: Grid, state: dict[str, bool]):
         if t.hv_bus in energized and t.lv_bus in energized:
             key = ("xfmr", t.id)
             edges.append((node(t.hv_bus, key), node(t.lv_bus, key), key, False, ()))
-    return edges, splitting
+    return edges
 
 
 class _UnionFind:
@@ -177,7 +183,7 @@ def check_radiality(grid: Grid, switch_state: dict[str, bool] | None = None) -> 
     splitting and are therefore permitted, as are exact parallel lines.
     """
     state = _state_map(grid, switch_state)
-    edges, _ = _split_graph(grid, state)
+    edges = _split_graph(grid, state)
     primary = {b.id for b in grid.buses if b.kind == "primary_substation"}
 
     violations = []
@@ -215,9 +221,10 @@ def derive_radial_state(grid: Grid, switch_state: dict[str, bool] | None = None)
     with a sectioning point in practice. Exact parallel branches count as one
     logical edge and stay closed (doubled supply). Each cut lands on the
     openable switch nearest the middle of the ring, measured in hops from
-    where the ring hangs off the feeding tree; a galvanic path between two
-    primary feeder roots is cut the same way. Returns a full switch-state
-    map; violations without an openable switch are left for
+    where the ring hangs off the feeding tree. All infeeds hang off one
+    virtual root, so a galvanic path between two infeeds is a ring through
+    that root and is cut the same way. Returns a full switch-state map;
+    violations without an openable switch are left for
     :func:`check_radiality`.
     """
     state = _state_map(grid, switch_state)
@@ -244,19 +251,22 @@ def _pick_radiality_cut(grid: Grid, state: dict[str, bool]) -> str | None:
         bundles[key] = bundles.get(key, ()) + (line.id,)
     for t in grid.transformers:
         bundles.setdefault(("T", frozenset((t.hv_bus, t.lv_bus))), ())
-    adj: dict[str, list[tuple[str, tuple, tuple[str, ...]]]] = {}
+    adj: dict[str | None, list[tuple[str | None, tuple, tuple[str, ...]]]] = {None: []}
     for key, line_ids in bundles.items():
         u, v = sorted(key[1])
         adj.setdefault(u, []).append((v, key, line_ids))
         adj.setdefault(v, []).append((u, key, line_ids))
+    # the virtual root (None) joins every feed-in by an edge without lines
+    for src in sorted(grid.source_buses):
+        adj[None].append((src, ("S", src), ()))
+        adj.setdefault(src, []).append((None, ("S", src), ()))
 
-    # BFS forest rooted at the feed-ins, so ring middles are measured from
-    # where power enters; every non-tree edge closes a cycle
-    prev: dict[str, tuple | None] = {}
-    depth: dict[str, int] = {}
+    # BFS forest from the root, so ring middles are measured from where
+    # power enters; every non-tree edge closes a cycle
+    prev: dict[str | None, tuple | None] = {}
+    depth: dict[str | None, int] = {}
     closing: list[tuple[str, tuple[str, str], tuple]] = []
-    sources = grid.source_buses
-    for start in sorted(adj, key=lambda n: (n not in sources, n)):
+    for start in [None, *sorted(adj.keys() - {None})]:
         if start in prev:
             continue
         prev[start] = None
@@ -304,63 +314,7 @@ def _pick_radiality_cut(grid: Grid, state: dict[str, bool]) -> str | None:
             for i, (key, line_ids) in enumerate(seq) if openable(line_ids)]
         if candidates:
             return min(candidates)[2]
-
-    # remaining case: two primary feeder roots coupled along a path (no
-    # bus-graph cycle); find it on the split graph and cut near the middle
-    edges, _ = _split_graph(grid, state)
-    primary = {bus.id for bus in grid.buses if bus.kind == "primary_substation"}
-    split_adj: dict = {}
-    uf = _UnionFind()
-    for u, v, key, is_line, line_ids in edges:
-        split_adj.setdefault(u, []).append((v, key, is_line, line_ids))
-        split_adj.setdefault(v, []).append((u, key, is_line, line_ids))
-        uf.union(u, v)
-    root_nodes: dict = {}
-    for u, v, key, is_line, line_ids in edges:
-        if not is_line:
-            continue
-        for node in (u, v):
-            if len(node) == 2 and node[0] in primary:
-                root_nodes.setdefault(uf.find(node), []).append(node)
-    for _, comp_nodes in sorted(root_nodes.items(), key=lambda kv: str(kv[0])):
-        if len(comp_nodes) < 2:
-            continue
-        a, b = sorted(comp_nodes)[:2]
-        path = _split_path(split_adj, a, b)
-        if path is None:
-            continue
-        switchable = [(i, openable(line_ids)) for i, (key, is_line, line_ids) in enumerate(path)
-                      if is_line and openable(line_ids)]
-        if not switchable:
-            continue
-        mid = (len(path) - 1) / 2.0
-        switchable.sort(key=lambda item: (abs(item[0] - mid), item[1][0].id))
-        return switchable[0][1][0].id
     return None
-
-
-def _split_path(adj, start, goal):
-    """Edge payload sequence of the shortest split-graph path start -> goal."""
-    prev: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for other, key, is_line, line_ids in adj[node]:
-            if other not in prev:
-                prev[other] = (node, key, is_line, line_ids)
-                queue.append(other)
-    if goal not in prev:
-        return None
-    path = []
-    node = goal
-    while prev[node] is not None:
-        parent, key, is_line, line_ids = prev[node]
-        path.append((key, is_line, line_ids))
-        node = parent
-    path.reverse()
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +358,15 @@ def conducting_path(grid: Grid, state: dict[str, bool], exclude_line: str,
 
 def _bridge_analysis(grid: Grid):
     """Bridges and 2-edge-connected components of the all-switches-closable
-    graph (in-service lines + transformers), as a component tree."""
-    nodes = [b.id for b in grid.buses]
+    graph (in-service lines + transformers) with the virtual root (None)
+    joined to every source bus, as a component tree.
+
+    Returns the component of every node and, per component, its bridges
+    as (other component, element id, is_line)."""
+    nodes: list[str | None] = [None, *(b.id for b in grid.buses)]
     index = {bus: i for i, bus in enumerate(nodes)}
-    edges: list[tuple[int, int, str, bool]] = []  # (u, v, element id, is_line)
+    edges: list[tuple[int, int, str, bool]] = [  # (u, v, element id, is_line)
+        (0, index[b], b, False) for b in sorted(grid.source_buses) if b in index]
     for line in grid.lines:
         if line.in_service:
             edges.append((index[line.from_bus], index[line.to_bus], line.id, True))
@@ -470,39 +429,16 @@ def _bridge_analysis(grid: Grid):
         if bridge[ei]:
             tree[comp[u]].append((comp[v], eid, is_line))
             tree[comp[v]].append((comp[u], eid, is_line))
-    return index, comp, n_comp, tree
+    return {bus: comp[i] for i, bus in enumerate(nodes)}, tree
 
 
 def _weak_stations(grid: Grid, cuttable: Callable[[str], bool]) -> frozenset[str]:
     """Stations separable from every source by removing one cuttable line."""
-    index, comp, n_comp, tree = _bridge_analysis(grid)
-    source_comps = {comp[index[b]] for b in grid.source_buses if b in index}
-    if not source_comps:
-        return frozenset(b.id for b in grid.stations())
-
-    # Steiner subtree of the source components: nodes on some source-source
-    # path; any bridge removal keeps them attached to at least one source.
-    order: list[tuple[int, int]] = []
-    parent: dict[int, int] = {}
-    root = min(source_comps)
-    parent[root] = -1
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for other, eid, is_line in tree[node]:
-            if other not in parent:
-                parent[other] = node
-                order.append((other, node))
-                queue.append(other)
-    has_source_below = {c: c in source_comps for c in parent}
-    for child, par in reversed(order):
-        if has_source_below[child]:
-            has_source_below[par] = True
-    steiner = {c for c in parent if has_source_below[c]}
-
-    # expand from the Steiner subtree across bridges that can never fail
-    safe = set(steiner)
-    queue = deque(steiner)
+    comp, tree = _bridge_analysis(grid)
+    # safe: reached from the root's component across bridges that can never
+    # fail; every other station hangs off the root behind a cuttable bridge
+    safe = {comp[None]}
+    queue = deque(safe)
     while queue:
         node = queue.popleft()
         for other, eid, is_line in tree[node]:
@@ -510,7 +446,7 @@ def _weak_stations(grid: Grid, cuttable: Callable[[str], bool]) -> frozenset[str
                 safe.add(other)
                 queue.append(other)
 
-    return frozenset(b.id for b in grid.stations() if comp[index[b.id]] not in safe)
+    return frozenset(b.id for b in grid.stations() if comp[b.id] not in safe)
 
 
 def find_stubs(grid: Grid) -> frozenset[str]:
@@ -697,20 +633,18 @@ def _fault_closure(grid: Grid, failed: Line, state: dict[str, bool],
     bodies: set[str] = {failed.id}
     breakers: set[str] = set()
 
-    def connection(bus: str, line: Line) -> tuple[bool, Switch | None]:
+    def connection(bus: str, line: Line) -> bool:
         sw = grid.switch_at.get((bus, line.id))
         if sw is not None and not state[sw.id]:
-            return False, sw
+            return False
         if stop_at_breakers and sw is not None and sw.kind == "circuit_breaker":
-            return False, sw
-        return tie(sw), sw
+            breakers.add(sw.id)  # a closed breaker: it trips
+            return False
+        return tie(sw)
 
     queue: deque[str] = deque()
     for end in (failed.from_bus, failed.to_bus):
-        ok, sw = connection(end, failed)
-        if stop_at_breakers and sw is not None and sw.kind == "circuit_breaker" and state[sw.id]:
-            breakers.add(sw.id)
-        if ok and end not in buses:
+        if connection(end, failed) and end not in buses:
             buses.add(end)
             queue.append(end)
     while queue:
@@ -718,17 +652,11 @@ def _fault_closure(grid: Grid, failed: Line, state: dict[str, bool],
         for line in grid.lines_at_bus.get(bus, ()):
             if not line.in_service or line.id == failed.id or line.id in bodies:
                 continue
-            ok, sw = connection(bus, line)
-            if stop_at_breakers and sw is not None and sw.kind == "circuit_breaker" and state[sw.id]:
-                breakers.add(sw.id)
-            if not ok:
+            if not connection(bus, line):
                 continue
             bodies.add(line.id)
             other = line.to_bus if line.from_bus == bus else line.from_bus
-            ok2, sw2 = connection(other, line)
-            if stop_at_breakers and sw2 is not None and sw2.kind == "circuit_breaker" and state[sw2.id]:
-                breakers.add(sw2.id)
-            if ok2 and other not in buses:
+            if connection(other, line) and other not in buses:
                 buses.add(other)
                 queue.append(other)
     return buses, bodies, breakers

@@ -5,7 +5,8 @@ The radiality oracle is ground truth by construction: random trees are
 radial by definition, a chord inside one feeder closes a galvanic ring, and
 a chord between two feeders of the same busbar couples them. The verdicts
 must match that knowledge without looking at the implementation. Energized
-sets are cross-checked against a sparse connected-components solve.
+sets are cross-checked against a sparse connected-components solve, and the
+second-path checks against dropping every line in turn.
 """
 
 import dataclasses
@@ -270,6 +271,45 @@ def test_derivation_is_idempotent():
     assert derive_radial_state(grid, derived) == derived
 
 
+def infeed_chain(n_a: int, n_b: int, *, ring: bool) -> GridBuilder:
+    """Two infeeds joined by one closed chain: n_a stations a0.. leave
+    busbar ma, n_b stations b.. reach busbar mb; lines l00.. run from ma.
+    With ``ring``, a closed four-line ring q1-q4 also hangs off ma."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("ha", "ma", 0.0, 0.0)
+    b.infeed("hb", "mb", 1000.0 * (n_a + n_b + 1), 0.0)
+    chain = ["ma", *(f"a{i}" for i in range(n_a)),
+             *(f"b{i}" for i in reversed(range(n_b))), "mb"]
+    for i, bus in enumerate(chain[1:-1], 1):
+        b.bus(bus, "secondary_substation", 1000.0 * i, 0.0)
+        b.load(bus, 0.3)
+    for i, (u, v) in enumerate(zip(chain, chain[1:])):
+        b.line(f"l{i:02d}", u, v, 1.0, CABLE_150, breaker_at=("ma", "mb"))
+    if ring:
+        loop = ["ma", "r1", "r2", "r3", "ma"]
+        for i, bus in enumerate(loop[1:-1], 1):
+            b.bus(bus, "secondary_substation", -1000.0 * i, 500.0)
+            b.load(bus, 0.3)
+        for i, (u, v) in enumerate(zip(loop, loop[1:]), 1):
+            b.line(f"q{i}", u, v, 1.0, CABLE_150, breaker_at=("ma",))
+    return b
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["chain", "chain+ring"])
+@pytest.mark.parametrize("n_a,n_b,cut", [
+    (3, 3, "l03@a2"), (3, 2, "l02@a1"), (2, 2, "l02@a1"), (1, 4, "l02@b2"),
+])
+def test_derivation_cuts_a_path_between_two_infeeds_near_its_middle(n_a, n_b, cut, ring):
+    grid = infeed_chain(n_a, n_b, ring=ring).build()
+    all_closed = {s.id: True for s in grid.switches}
+    assert {v.kind for v in check_radiality(grid, all_closed)} == {"feeder_coupling"}
+    derived = derive_radial_state(grid, all_closed)
+    opened = sorted(sid for sid, closed in derived.items() if not closed)
+    assert opened == ([cut, "q2@r1"] if ring else [cut])
+    assert check_radiality(grid, derived) == []
+    assert energized_buses(grid, derived) == energized_buses(grid, all_closed)
+
+
 def test_derived_cuts_on_the_planning_area():
     grid = fx.example_area()
     derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
@@ -332,6 +372,73 @@ def test_contingency_supply_flags_single_path_stations():
         for b in two.buses))
     violations = check_contingency_supply(flagged)
     assert [(v.kind, v.element) for v in violations] == [("no_second_path", "s1")]
+
+
+def random_infeeds(rng: random.Random) -> GridBuilder:
+    """1-3 separate infeeds, a random station tree on each, and a few open
+    chords between any two buses of the trees (possibly of two infeeds)."""
+    b = GridBuilder(CABLE_150)
+    ends = []
+    for k in range(rng.randint(1, 3)):
+        busbar = f"m{k}"
+        b.infeed(f"h{k}", busbar, 8000.0 * k, 0.0)
+        parents = [busbar]
+        for i in range(rng.randint(1, 9)):
+            bus = f"s{k}_{i}"
+            parent = rng.choice(parents)
+            b.bus(bus, "secondary_substation",
+                  8000.0 * k + rng.uniform(0, 5000), rng.uniform(-3000, 3000))
+            b.line(f"t{k}_{i}", parent, bus, 1.0, CABLE_150,
+                   breaker_at=(busbar,) if parent == busbar else ())
+            b.load(bus, 0.2)
+            parents.append(bus)
+        ends += parents
+    for c in range(rng.randint(0, 4)):
+        u, v = rng.sample(ends, 2)
+        b.line(f"c{c}", u, v, 1.0, CABLE_150, open_at=u)
+    return b
+
+
+def weak_oracle(grid):
+    """Stations that some single in-service line failure cuts off from every
+    source, with every switch closable: drop each line in turn and search."""
+    def reach(dropped):
+        adj = {}
+        for line in grid.lines:
+            if line.in_service and line.id != dropped:
+                adj.setdefault(line.from_bus, []).append(line.to_bus)
+                adj.setdefault(line.to_bus, []).append(line.from_bus)
+        for t in grid.transformers:
+            adj.setdefault(t.hv_bus, []).append(t.lv_bus)
+            adj.setdefault(t.lv_bus, []).append(t.hv_bus)
+        seen = set(grid.source_buses)
+        stack = list(seen)
+        while stack:
+            for other in adj.get(stack.pop(), ()):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return seen
+
+    stations = {b.id for b in grid.stations()}
+    weak = stations - reach(None)
+    for line in grid.lines:
+        if line.in_service:
+            weak |= stations - reach(line.id)
+    return weak
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_second_path_checks_match_dropping_each_line(chunk):
+    for seed in range(30 * chunk, 30 * chunk + 30):
+        grid = random_infeeds(random.Random(seed)).build()
+        weak = weak_oracle(grid)
+        assert find_stubs(grid) == weak, seed
+        flagged = grid.replace(buses=tuple(
+            dataclasses.replace(b, requires_contingency_supply=True)
+            for b in grid.buses))
+        violations = check_contingency_supply(flagged)
+        assert [v.element for v in violations] == sorted(weak), seed
 
 
 # --------------------------------------------------------------------------
