@@ -142,6 +142,13 @@ def _plan_or_compare(args, concepts) -> int:
     return 0 if all(report.references.get(c) for c in concepts) else 1
 
 
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridforge",
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concept", choices=CONCEPTS, required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--area")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("compare", help="optimize and compare all three concepts")
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--principles")
     p.add_argument("--out", default="out")
     p.add_argument("--area")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.set_defaults(func=_cmd_compare)
 
     return parser

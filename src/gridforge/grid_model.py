@@ -175,6 +175,19 @@ class Grid:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
+    def switch_ids_by_line(self) -> dict[str, tuple[str, ...]]:
+        return {k: tuple(s.id for s in v) for k, v in self.switches_by_line.items()}
+
+    @cached_property
+    def transformer_neighbours(self) -> dict[str, tuple[str, ...]]:
+        """Buses coupled to each bus by a transformer (HV <-> LV side)."""
+        out: dict[str, list[str]] = {}
+        for t in self.transformers:
+            out.setdefault(t.hv_bus, []).append(t.lv_bus)
+            out.setdefault(t.lv_bus, []).append(t.hv_bus)
+        return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
     def switch_at(self) -> dict[tuple[str, str], Switch]:
         """Switch by (bus id, line id) connection point."""
         return {(s.bus, s.line): s for s in self.switches}

@@ -3,8 +3,13 @@
 Newton-Raphson in polar form on the conducting, energized MV sub-graph.
 Every transformer acts as an ideal voltage source holding its MV busbar at
 the scenario setpoint (slack); lines are series R+jX branches. Dense numpy
-linear algebra is used throughout — planning areas are a few dozen buses,
-where dense factorization beats any sparse machinery.
+linear algebra is used throughout. The Jacobian is built in O(n²) by row and
+column scaling, so the dense LU solve is the only O(n³) step. A scipy sparse
+Jacobian with ``spsolve`` was measured per Newton solve on a 2-vCPU host:
+5.2 ms against 0.36 ms dense for the 27-bus example area, 6.2 against 7.2 ms
+at 181 buses and 7.0 against 13.8 ms at 239 buses. Planning areas are a few
+dozen buses, where dense is an order of magnitude faster, so one dense path
+is kept and no size switch.
 """
 
 from __future__ import annotations
@@ -80,17 +85,29 @@ def polar_mismatch(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
 
 def polar_jacobian(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
                    pq: np.ndarray) -> np.ndarray:
-    """Jacobian of :func:`polar_mismatch` w.r.t. [va[pq], vm[pq]]."""
+    """Jacobian of :func:`polar_mismatch` w.r.t. [va[pq], vm[pq]].
+
+    The diagonal-matrix products of the textbook form are written as row
+    and column scalings plus one diagonal add, so building it is O(n²).
+    """
+    m = len(pq)
     v = vm * np.exp(1j * va)
     i = ybus @ v
-    diag_v = np.diag(v)
-    ds_dva = 1j * diag_v @ np.conj(np.diag(i) - ybus @ diag_v)
-    ds_dvm = diag_v @ np.conj(ybus @ np.diag(v / np.abs(v))) + np.conj(np.diag(i)) @ np.diag(v / np.abs(v))
-    j11 = ds_dva[np.ix_(pq, pq)].real
-    j12 = ds_dvm[np.ix_(pq, pq)].real
-    j21 = ds_dva[np.ix_(pq, pq)].imag
-    j22 = ds_dvm[np.ix_(pq, pq)].imag
-    return np.block([[j11, j12], [j21, j22]])
+    vn = v / np.abs(v)
+    y = ybus[np.ix_(pq, pq)]
+    v_pq, i_pq, vn_pq = v[pq], i[pq], vn[pq]
+    ds_dva = -1j * v_pq[:, None] * np.conj(y * v_pq[None, :])
+    ds_dvm = v_pq[:, None] * np.conj(y * vn_pq[None, :])
+    diag = np.diag_indices(m)
+    ds_dva[diag] += 1j * v_pq * np.conj(i_pq)
+    ds_dvm[diag] += np.conj(i_pq) * vn_pq
+
+    jac = np.empty((2 * m, 2 * m))
+    jac[:m, :m] = ds_dva.real
+    jac[:m, m:] = ds_dvm.real
+    jac[m:, :m] = ds_dva.imag
+    jac[m:, m:] = ds_dvm.imag
+    return jac
 
 
 def _newton(ybus: np.ndarray, sbus: np.ndarray, vm: np.ndarray, va: np.ndarray,

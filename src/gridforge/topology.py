@@ -69,14 +69,11 @@ def _state_map(grid: Grid, switch_state: dict[str, bool] | None) -> dict[str, bo
 
 def _conducting_lines(grid: Grid, state: dict[str, bool],
                       exclude: frozenset[str] = frozenset()) -> list[Line]:
-    out = []
-    for line in grid.lines:
-        if not line.in_service or line.id in exclude:
-            continue
-        switches = grid.switches_by_line.get(line.id, ())
-        if all(state[s.id] for s in switches):
-            out.append(line)
-    return out
+    switch_ids = grid.switch_ids_by_line
+    closed = state.__getitem__
+    return [line for line in grid.lines
+            if line.in_service and line.id not in exclude
+            and all(map(closed, switch_ids.get(line.id, ())))]
 
 
 def energized_buses(grid: Grid, switch_state: dict[str, bool] | None = None,
@@ -88,23 +85,26 @@ def energized_buses(grid: Grid, switch_state: dict[str, bool] | None = None,
 
 def _energized(grid: Grid, state: dict[str, bool],
                exclude_lines: frozenset[str] = frozenset()) -> frozenset[str]:
-    adj: dict[str, list[str]] = {}
-    for line in _conducting_lines(grid, state, exclude_lines):
-        adj.setdefault(line.from_bus, []).append(line.to_bus)
-        adj.setdefault(line.to_bus, []).append(line.from_bus)
-    for t in grid.transformers:
-        adj.setdefault(t.hv_bus, []).append(t.lv_bus)
-        adj.setdefault(t.lv_bus, []).append(t.hv_bus)
-
-    seen: set[str] = set()
-    queue = deque(b for b in grid.source_buses if b in grid.buses_by_id)
-    seen.update(queue)
+    """BFS from the sources; a line's switches are read only when it is reached."""
+    switch_ids = grid.switch_ids_by_line
+    xfmr = grid.transformer_neighbours
+    lines_at = grid.lines_at_bus
+    closed = state.__getitem__
+    seen = {b for b in grid.source_buses if b in grid.buses_by_id}
+    queue = deque(seen)
     while queue:
         bus = queue.popleft()
-        for other in adj.get(bus, ()):
+        for other in xfmr.get(bus, ()):
             if other not in seen:
                 seen.add(other)
                 queue.append(other)
+        for line in lines_at.get(bus, ()):
+            other = line.to_bus if line.from_bus == bus else line.from_bus
+            if (other in seen or not line.in_service or line.id in exclude_lines
+                    or not all(map(closed, switch_ids.get(line.id, ())))):
+                continue
+            seen.add(other)
+            queue.append(other)
     return frozenset(seen)
 
 
@@ -692,13 +692,9 @@ def _reach_avoiding(grid: Grid, state: dict[str, bool], failed_id: str,
         if b in grid.buses_by_id and b not in avoid_buses:
             seen.add(b)
             queue.append(b)
-    xfmr_adj: dict[str, list[str]] = {}
-    for t in grid.transformers:
-        xfmr_adj.setdefault(t.hv_bus, []).append(t.lv_bus)
-        xfmr_adj.setdefault(t.lv_bus, []).append(t.hv_bus)
     while queue:
         bus = queue.popleft()
-        for other in xfmr_adj.get(bus, ()):
+        for other in grid.transformer_neighbours.get(bus, ()):
             if other not in seen and other not in avoid_buses:
                 seen.add(other)
                 queue.append(other)

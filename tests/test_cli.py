@@ -4,11 +4,14 @@ Exit-code contract: 0 success, 1 infeasibility, 2 input errors.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gridforge
 from gridforge import fixtures as fx
 from gridforge.cli import main
 from gridforge.grid_model import grid_to_dict, load_grid, save_grid
@@ -191,6 +194,20 @@ def test_plan_rejects_unknown_concepts(files):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["plan", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_plan_and_compare_reject_jobs_below_one(files, capsys, command, jobs):
+    argv = [command, str(files / "mesh.json"), "--jobs", jobs,
+            "--out", str(files / "out")]
+    if command == "plan":
+        argv += ["--concept", "radial"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (files / "out").exists()
+
+
 def test_compare_runs_all_three_concepts(files, capsys):
     code = main(["compare", str(files / "station.json"),
                  "--principles", str(files / "tradeoff.json"),
@@ -216,8 +233,13 @@ def test_compare_refuses_a_faulty_grid(files, capsys):
 
 
 def test_the_module_is_runnable_as_a_script(files):
+    # the child imports the package from where this process found it
+    src = str(Path(gridforge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "gridforge.cli", "validate", str(files / "two_bus.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "ok:" in proc.stdout

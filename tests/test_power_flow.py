@@ -281,6 +281,42 @@ def test_jacobian_matches_finite_differences():
         assert np.linalg.norm(analytic - numeric) / scale <= 1e-6
 
 
+def textbook_jacobian(ybus, vm, va, pq):
+    """dS/dV with diagonal-matrix products (MATPOWER's dSbus_dV), then the
+    PQ rows and columns split into real and imaginary blocks."""
+    v = vm * np.exp(1j * va)
+    i = ybus @ v
+    diag_v = np.diag(v)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(np.diag(i) - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(np.diag(i)) @ diag_vn
+    sub = np.ix_(pq, pq)
+    return np.block([[ds_dva[sub].real, ds_dvm[sub].real],
+                     [ds_dva[sub].imag, ds_dvm[sub].imag]])
+
+
+SLACK_PICKS = {
+    "first": lambda n, rng: [0],
+    "middle": lambda n, rng: [n // 2],
+    "several": lambda n, rng: rng.choice(n, size=int(rng.integers(2, n)), replace=False),
+    "all": lambda n, rng: range(n),
+}
+
+
+@pytest.mark.parametrize("seed, slacks", enumerate(SLACK_PICKS))
+def test_jacobian_matches_the_textbook_formula(seed, slacks):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        ybus, vm, va, sbus, _ = random_state(rng)
+        n = len(vm)
+        slack = set(int(i) for i in SLACK_PICKS[slacks](n, rng))
+        pq = np.array([i for i in range(n) if i not in slack], dtype=int)
+        analytic = polar_jacobian(ybus, vm, va, pq)
+        oracle = textbook_jacobian(ybus, vm, va, pq)
+        assert analytic.shape == oracle.shape == (2 * len(pq), 2 * len(pq))
+        assert np.linalg.norm(analytic - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 def test_mismatch_is_zero_at_a_solution():
     grid = fx.two_bus_grid()
     result = run_power_flow(grid, PEAK_LOAD)

@@ -39,9 +39,10 @@ from gridforge.topology import (
 # oracle: independent energized-set computation (sparse graph components)
 
 
-def reachable_oracle(grid, state):
+def reachable_oracle(grid, state, exclude=frozenset()):
     """Buses galvanically tied to an external source, computed with scipy's
-    connected components instead of any package traversal."""
+    connected components instead of any package traversal. Lines named in
+    ``exclude`` do not conduct."""
     buses = sorted(b.id for b in grid.buses)
     index = {b: i for i, b in enumerate(buses)}
     rows, cols = [], []
@@ -51,7 +52,7 @@ def reachable_oracle(grid, state):
         cols.extend((index[b], index[a]))
 
     for line in grid.lines:
-        if not line.in_service:
+        if not line.in_service or line.id in exclude:
             continue
         if all(state.get(s.id, s.closed)
                for s in grid.switches_by_line.get(line.id, ())):
@@ -206,6 +207,17 @@ def test_energized_matches_component_oracle(build):
         states.append(state)
     for state in states:
         assert energized_buses(grid, state) == reachable_oracle(grid, state)
+
+    line_ids = [l.id for l in grid.lines]
+    for _ in range(8):
+        out_of_service = {lid for lid in line_ids if rng.random() < 0.15}
+        damaged = grid.replace(lines=tuple(
+            dataclasses.replace(l, in_service=l.id not in out_of_service)
+            for l in grid.lines))
+        exclude = frozenset(rng.sample(line_ids, rng.randint(0, min(3, len(line_ids)))))
+        for state in rng.sample(states, 3):
+            assert (energized_buses(damaged, state, exclude)
+                    == reachable_oracle(damaged, state, exclude))
 
 
 def test_check_supply_names_dark_stations():
