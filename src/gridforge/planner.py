@@ -38,6 +38,7 @@ from gridforge.power_flow import (
     ViolationReport,
     check_contingency_operation,
     check_normal_operation,
+    contingency_cases,
 )
 from gridforge.reliability import (
     FmeaResult,
@@ -46,6 +47,7 @@ from gridforge.reliability import (
     automate_for_reliability,
 )
 from gridforge.topology import (
+    SwitchingSequence,
     _state_map,
     _UnionFind,
     check_contingency_supply,
@@ -137,13 +139,14 @@ def _remove_bus(grid: Grid, bus_id: str) -> Grid:
     )
 
 
-def _end_switch(grid: Grid, line_id: str, bus_id: str, suffix: str) -> Switch:
+def _end_switch(grid: Grid, line_id: str, bus_id: str, suffix: str,
+                closed: bool = True) -> Switch:
     # new feeders leaving a busbar get a substation breaker (those are on
     # SCADA and re-close remotely); anything else a manual load-break
     # switch, like the stations they land in
     breaker = grid.buses_by_id[bus_id].kind in ("primary_substation", "switching_station")
     return Switch(id=f"{line_id}_{suffix}", bus=bus_id, line=line_id,
-                  closed=True, kind="circuit_breaker" if breaker else "load_break",
+                  closed=closed, kind="circuit_breaker" if breaker else "load_break",
                   remote_controlled=breaker)
 
 
@@ -164,10 +167,18 @@ def _apply_one(grid: Grid, m: Measure) -> Grid:
         line = Line(id=new_id, from_bus=twin.from_bus, to_bus=twin.to_bus,
                     length=twin.length, line_type=m.line_type or twin.line_type,
                     origin="parallel")
+
+        def twin_switch(bus: str, suffix: str) -> Switch:
+            # open wherever the original is open: doubling a normally open
+            # tie must not close its ring
+            original = grid.switch_at.get((bus, twin.id))
+            return _end_switch(grid, new_id, bus, suffix,
+                               closed=original is None or original.closed)
+
         return grid.replace(
             lines=grid.lines + (line,),
-            switches=grid.switches + (_end_switch(grid, new_id, twin.from_bus, "a"),
-                                      _end_switch(grid, new_id, twin.to_bus, "b")))
+            switches=grid.switches + (twin_switch(twin.from_bus, "a"),
+                                      twin_switch(twin.to_bus, "b")))
 
     if m.kind == "AddTrail":
         if m.line_type is None or m.length_km is None:
@@ -565,9 +576,37 @@ def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
 # phase 2: operational reinforcement
 
 
-def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationReport:
+def _operation_report(grid: Grid, scenarios: Sequence[Scenario],
+                      cases: Sequence[SwitchingSequence] | None = None) -> ViolationReport:
     return check_normal_operation(grid, scenarios).merged(
-        check_contingency_operation(grid, scenarios))
+        check_contingency_operation(grid, scenarios, cases=cases))
+
+
+def _search_reports(scenarios: Sequence[Scenario]
+                    ) -> Callable[[Grid, tuple[Measure, ...]], ViolationReport]:
+    """Operation reports for one search over measures on one base grid.
+
+    A grid built before in the search gets its report back; the measures
+    change only lines and switches, so those are its key. The N-1 switching
+    sequences are computed once per topology: cable swaps change no
+    switching sequence, so their key is the active measures other than
+    ``ReplaceLine``. Both memos live as long as the returned function.
+    """
+    reports: dict[tuple, ViolationReport] = {}
+    n1_cases: dict[tuple[Measure, ...], tuple[SwitchingSequence, ...]] = {}
+
+    def report(grid: Grid, active: tuple[Measure, ...]) -> ViolationReport:
+        key = (grid.lines, grid.switches)
+        found = reports.get(key)
+        if found is None:
+            topology = tuple(m for m in active if m.kind != "ReplaceLine")
+            cases = n1_cases.get(topology)
+            if cases is None:
+                cases = n1_cases[topology] = contingency_cases(grid)
+            found = reports[key] = _operation_report(grid, scenarios, cases)
+        return found
+
+    return report
 
 
 def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
@@ -669,9 +708,10 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
         raise PlannerError("operational violations but no reinforcement "
                            "candidates (catalog empty?)", report.entries)
 
+    reports = _search_reports(scenarios)
+
     def objective(active: tuple[Measure, ...]) -> tuple[float, int, float]:
-        candidate = apply_measures(base, active)
-        rep = _operation_report(candidate, scenarios)
+        rep = reports(apply_measures(base, active), active)
         return (sum(m.cost_per_year for m in active), len(rep), rep.total_magnitude)
 
     # quick upper-bound probe: strongest build-out must be feasible
@@ -683,18 +723,17 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
         else:
             parallels.append(m)
     probe = tuple(list(strongest.values()) + parallels)
-    probe_report = _operation_report(apply_measures(base, probe), scenarios)
+    probe_report = reports(apply_measures(base, probe), probe)
     if not probe_report.feasible:
         raise PlannerError("grid cannot be reinforced within the catalog",
                            probe_report.entries)
 
     result = ils(pool, objective, params, seed=params.seed if seed is None else seed)
+    cables = result.best.measures(pool)
     if not result.best.feasible:
         raise PlannerError(
             "reinforcement search ended infeasible (budget too small?)",
-            _operation_report(apply_measures(base, result.best.measures(pool)),
-                              scenarios).entries)
-    cables = result.best.measures(pool)
+            reports(apply_measures(base, cables), cables).entries)
     return ReinforcementPlan(apply_measures(base, cables), moves + cables,
                              base, cables)
 
@@ -762,9 +801,11 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
                       for b in forced_automation(active)])
         return apply_measures(base, ordered)
 
+    reports = _search_reports(scenarios)
+
     def objective(active: tuple[Measure, ...]) -> tuple[float, int, float]:
         candidate = realize(active)
-        rep = _operation_report(candidate, scenarios)
+        rep = reports(candidate, active)
         cost = (sum(m.cost_per_year for m in active)
                 + len(forced_automation(active)) * cost_model.communication_link
                 + concept_overhead(candidate, "closed_ring", cost_model).total)
@@ -776,11 +817,10 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
     start = [m.kind != "CloseRing" for m in pool]  # = the radial solution
     result = ils(pool, objective, params,
                  seed=params.seed if seed is None else seed, start=start)
+    chosen = result.best.measures(pool)
     if not result.best.feasible:
         raise PlannerError("meshing search lost feasibility",
-                           _operation_report(realize(result.best.measures(pool)),
-                                             scenarios).entries)
-    chosen = result.best.measures(pool)
+                           reports(realize(chosen), chosen).entries)
     links = tuple(
         Measure(kind="AutomateStation", target=bus,
                 cost_per_year=cost_model.communication_link)

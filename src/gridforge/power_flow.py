@@ -10,6 +10,12 @@ Jacobian with ``spsolve`` was measured per Newton solve on a 2-vCPU host:
 at 181 buses and 7.0 against 13.8 ms at 239 buses. Planning areas are a few
 dozen buses, where dense is an order of magnitude faster, so one dense path
 is kept and no size switch.
+
+The N-1 check splits into a topology half, :func:`contingency_cases` (the
+resupply switching sequence per feeder head), and the load flows on the
+restored states. The planning searches compute the cases once per topology
+and pass them in, since candidates that differ only in cable types share
+them; every solve still goes through :func:`run_power_flow`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gridforge.grid_model import Grid, Scenario, apply_scenario
-from gridforge.topology import _conducting_lines, _energized, _state_map, find_feeders, resupply_sequence
+from gridforge.topology import (
+    SwitchingSequence,
+    _conducting_lines,
+    _energized,
+    _state_map,
+    find_feeders,
+    resupply_sequence,
+)
 
 S_BASE_MVA = 1.0
 TOLERANCE = 1e-8  # pu mismatch, infinity norm
@@ -79,7 +92,11 @@ def polar_mismatch(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
                    sbus: np.ndarray, pq: np.ndarray) -> np.ndarray:
     """Stacked real/imag power mismatch at the PQ buses (pu)."""
     v = vm * np.exp(1j * va)
-    mis = v * np.conj(ybus @ v) - sbus
+    return _mismatch(v, ybus @ v, sbus, pq)
+
+
+def _mismatch(v: np.ndarray, i: np.ndarray, sbus: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    mis = v * np.conj(i) - sbus
     return np.concatenate([mis[pq].real, mis[pq].imag])
 
 
@@ -90,12 +107,16 @@ def polar_jacobian(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
     The diagonal-matrix products of the textbook form are written as row
     and column scalings plus one diagonal add, so building it is O(n²).
     """
-    m = len(pq)
     v = vm * np.exp(1j * va)
-    i = ybus @ v
-    vn = v / np.abs(v)
-    y = ybus[np.ix_(pq, pq)]
-    v_pq, i_pq, vn_pq = v[pq], i[pq], vn[pq]
+    return _jacobian(ybus[np.ix_(pq, pq)], v, ybus @ v, pq)
+
+
+def _jacobian(y: np.ndarray, v: np.ndarray, i: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """:func:`polar_jacobian` from the PQ block ``y`` of Ybus, the bus
+    voltages ``v`` and the injected currents ``i = Ybus v``."""
+    m = len(pq)
+    v_pq, i_pq = v[pq], i[pq]
+    vn_pq = v_pq / np.abs(v_pq)
     ds_dva = -1j * v_pq[:, None] * np.conj(y * v_pq[None, :])
     ds_dvm = v_pq[:, None] * np.conj(y * vn_pq[None, :])
     diag = np.diag_indices(m)
@@ -112,14 +133,19 @@ def polar_jacobian(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
 
 def _newton(ybus: np.ndarray, sbus: np.ndarray, vm: np.ndarray, va: np.ndarray,
             pq: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    # one iteration's voltages and currents serve both the mismatch and the
+    # Jacobian, and the PQ block of Ybus is cut out once per solve
     n_pq = len(pq)
+    y_pq = ybus[np.ix_(pq, pq)]
     for iteration in range(MAX_ITERATIONS + 1):
-        f = polar_mismatch(ybus, vm, va, sbus, pq)
+        v = vm * np.exp(1j * va)
+        i = ybus @ v
+        f = _mismatch(v, i, sbus, pq)
         if f.size == 0 or np.max(np.abs(f)) < TOLERANCE:
             return vm, va, iteration, True
         if iteration == MAX_ITERATIONS:
             break
-        jac = polar_jacobian(ybus, vm, va, pq)
+        jac = _jacobian(y_pq, v, i, pq)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -276,27 +302,45 @@ def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
     return ViolationReport(tuple(entries))
 
 
+def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
+                      ) -> tuple[SwitchingSequence, ...]:
+    """The topology half of the N-1 check: per feeder head, the failed line
+    and the switching sequence that resupplies after its fault.
+
+    The cases read only the structure and the switch states, never cable
+    types, so a search can reuse them for every candidate that differs from
+    another only in cable types.
+    """
+    state = _state_map(grid, switch_state)
+    return tuple(resupply_sequence(grid, feeder.head_line, state)
+                 for feeder in find_feeders(grid, state))
+
+
 def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
-                                switch_state: dict[str, bool] | None = None) -> ViolationReport:
+                                switch_state: dict[str, bool] | None = None, *,
+                                cases: Sequence[SwitchingSequence] | None = None
+                                ) -> ViolationReport:
     """N-1 check: fail each feeder-head line, resupply, verify the restored
     state under peak load against the widened contingency band.
 
     Only ``peak_load`` is evaluated — voltage support from generation gets
     no credit in contingency planning. Stations that stay dark are reported
     unless they are exempt (``requires_contingency_supply = False``).
+    ``cases`` are :func:`contingency_cases` of the same topology and switch
+    state; they are computed here when not given.
     """
     peak_load = next((s for s in scenarios if s.name == "peak_load"), None)
     if peak_load is None:
         raise ValueError("contingency check needs a 'peak_load' scenario")
+    if cases is None:
+        cases = contingency_cases(grid, switch_state)
     entries: list[Violation] = []
-    state = _state_map(grid, switch_state)
-    for feeder in find_feeders(grid, state):
-        failed = feeder.head_line
-        sequence = resupply_sequence(grid, failed, state)
-        result = run_power_flow(grid, peak_load, sequence.resulting_state,
+    for case in cases:
+        failed = case.failed_line
+        result = run_power_flow(grid, peak_load, case.resulting_state,
                                 exclude_lines=frozenset((failed,)))
         entries.extend(_band_violations(grid, result, peak_load, failed))
-        for bus_id in sequence.unsupplied:
+        for bus_id in case.unsupplied:
             if grid.buses_by_id[bus_id].requires_contingency_supply:
                 entries.append(Violation("unsupplied", bus_id, 1.0, peak_load.name, failed))
     return ViolationReport(tuple(entries))

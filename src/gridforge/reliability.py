@@ -17,9 +17,10 @@ from typing import Iterable
 from gridforge.grid_model import Grid
 from gridforge.topology import (
     Feeder,
+    _energized,
+    _fault_analysis,
     _state_map,
     conducting_path,
-    fault_analysis,
     find_feeders,
 )
 
@@ -108,6 +109,8 @@ def outage_matrix(grid: Grid, params: ReliabilityParams,
     matrix: dict[str, dict[str, float]] = {}
     t_fast = params.t_locate + params.t_remote
     t_slow = params.t_locate + params.t_onsite
+    pre = _energized(grid, state)
+    stations = {b.id for b in grid.stations()}
     for line in grid.lines:
         if not line.in_service:
             continue
@@ -117,7 +120,7 @@ def outage_matrix(grid: Grid, params: ReliabilityParams,
                 is not None):
             matrix[line.id] = {}
             continue
-        analysis = fault_analysis(grid, line.id, state)
+        analysis = _fault_analysis(grid, line, state, pre, stations)
         row: dict[str, float] = {}
         for station in analysis.affected_stations:
             row[station] = t_fast if station in analysis.remote_resuppliable else t_slow

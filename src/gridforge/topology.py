@@ -11,6 +11,9 @@ circuit breakers bounding the galvanically affected region, the two switches
 adjacent to the faulted line are opened to isolate it, the tripped breakers
 are re-closed where that does not re-energize the fault, and normally-open
 sectioning points are closed until no further station can be resupplied.
+That greedy search keeps one energized set and grows it: closing a switch
+can only add the dark region behind its line, so no candidate switch needs
+a search from the sources.
 
 All infeeds hang off one virtual root, joined to every source bus by an edge
 that is no line and can never be cut or opened. The second-path check and
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from gridforge.grid_model import Grid, Line, Switch
 
@@ -85,27 +88,37 @@ def energized_buses(grid: Grid, switch_state: dict[str, bool] | None = None,
 
 def _energized(grid: Grid, state: dict[str, bool],
                exclude_lines: frozenset[str] = frozenset()) -> frozenset[str]:
-    """BFS from the sources; a line's switches are read only when it is reached."""
+    """Buses reachable from the sources."""
+    sources = [b for b in grid.source_buses if b in grid.buses_by_id]
+    return frozenset(_flood(grid, state, sources, exclude_lines))
+
+
+def _flood(grid: Grid, state: dict[str, bool], seeds: Iterable[str],
+           exclude_lines: frozenset[str],
+           barrier: frozenset[str] | set[str] = frozenset()) -> set[str]:
+    """BFS from ``seeds`` over conducting lines and transformers that never
+    enters ``barrier``; a line's switches are read only when it is reached."""
     switch_ids = grid.switch_ids_by_line
     xfmr = grid.transformer_neighbours
     lines_at = grid.lines_at_bus
     closed = state.__getitem__
-    seen = {b for b in grid.source_buses if b in grid.buses_by_id}
+    seen = set(seeds)
     queue = deque(seen)
     while queue:
         bus = queue.popleft()
         for other in xfmr.get(bus, ()):
-            if other not in seen:
+            if other not in seen and other not in barrier:
                 seen.add(other)
                 queue.append(other)
         for line in lines_at.get(bus, ()):
             other = line.to_bus if line.from_bus == bus else line.from_bus
-            if (other in seen or not line.in_service or line.id in exclude_lines
+            if (other in seen or other in barrier or not line.in_service
+                    or line.id in exclude_lines
                     or not all(map(closed, switch_ids.get(line.id, ())))):
                 continue
             seen.add(other)
             queue.append(other)
-    return frozenset(seen)
+    return seen
 
 
 def check_supply(grid: Grid, switch_state: dict[str, bool] | None = None) -> list[TopologyViolation]:
@@ -729,20 +742,25 @@ def fault_analysis(grid: Grid, failed_line: str,
     remote-controlled switching set isolates the fault and restores supply.
     """
     state = _state_map(grid, switch_state)
-    failed = grid.lines_by_id[failed_line]
-    pre = _energized(grid, state)
+    return _fault_analysis(grid, grid.lines_by_id[failed_line], state,
+                           _energized(grid, state), {b.id for b in grid.stations()})
+
+
+def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
+                    pre: frozenset[str], stations: set[str]) -> FaultAnalysis:
+    """:func:`fault_analysis` given the pre-fault energized buses and the
+    station ids, which are the same for every fault of one FMEA."""
     if failed.from_bus not in pre and failed.to_bus not in pre:
         # nothing feeds the fault: no current, no trip, no outage
-        return FaultAnalysis(failed_line, (), frozenset(), frozenset())
+        return FaultAnalysis(failed.id, (), frozenset(), frozenset())
     tripped, post = _trip(grid, failed, state)
-    after = _energized(grid, post, exclude_lines=frozenset((failed_line,)))
-    stations = {b.id for b in grid.stations()}
+    after = _energized(grid, post, exclude_lines=frozenset((failed.id,)))
     affected = frozenset((pre - after) & stations)
 
     f_buses, f_bodies, _ = _fault_closure(grid, failed, post, _non_remote_tie(post))
-    reach = _reach_avoiding(grid, post, failed_line, f_buses, f_bodies, remote_only=True)
+    reach = _reach_avoiding(grid, post, failed.id, f_buses, f_bodies, remote_only=True)
     remote = frozenset(affected & reach)
-    return FaultAnalysis(failed_line, tuple(tripped), affected, remote)
+    return FaultAnalysis(failed.id, tuple(tripped), affected, remote)
 
 
 def resupply_sequence(grid: Grid, failed_line: str,
@@ -753,7 +771,13 @@ def resupply_sequence(grid: Grid, failed_line: str,
     switches, then resupply (re-close tripped breakers where safe, close
     sectioning points until no further station comes back). Greedy closing
     picks the switch re-energizing the most dark stations; ties fall to the
-    lowest switch id.
+    lowest switch id. A switch is safe to close if the fault zone it leaves
+    touches no energized bus.
+
+    The energized set is grown, not searched again: closing one switch can
+    only add the dark region behind its line, found by a search over dark
+    buses from the line's dark end. A fault zone is traced only for a switch
+    that would beat the best candidate so far.
 
     Raises:
         ValueError: the line is not energized in the pre-fault state.
@@ -780,58 +804,68 @@ def resupply_sequence(grid: Grid, failed_line: str,
             actions.append(SwitchAction(
                 sw.id, "open", "isolate", "remote" if sw.remote_controlled else "manual"))
 
-    def fault_zone(current: dict[str, bool]):
-        buses, bodies, _ = _fault_closure(grid, failed, current, _closed_tie(current))
-        return buses, bodies
+    energized = set(_energized(grid, state, excluded))
+    regions: dict[str, frozenset[str]] = {}  # dark bus -> its dark region
+    switch_ids = grid.switch_ids_by_line
 
-    def safe_to_close(sid: str, current: dict[str, bool]) -> frozenset[str] | None:
-        trial = dict(current)
-        trial[sid] = True
-        energized = _energized(grid, trial, excluded)
-        z_buses, _ = fault_zone(trial)
-        if energized & z_buses:
-            return None
-        return energized
+    def newly_lit(sw: Switch) -> frozenset[str]:
+        """Buses that closing the open switch ``sw`` adds to the energized set."""
+        line = grid.lines_by_id.get(sw.line)
+        if line is None or not line.in_service or line.id == failed_line:
+            return frozenset()
+        if not all(state[s] for s in switch_ids[line.id] if s != sw.id):
+            return frozenset()
+        lit_from = line.from_bus in energized
+        if lit_from == (line.to_bus in energized):
+            return frozenset()
+        start = line.to_bus if lit_from else line.from_bus
+        region = regions.get(start)
+        if region is None:
+            region = frozenset(_flood(grid, state, (start,), excluded, energized))
+            regions.update(dict.fromkeys(region, region))
+        return region
+
+    def feeds_fault(sid: str, added: frozenset[str]) -> bool:
+        state[sid] = True
+        try:
+            zone, _, _ = _fault_closure(grid, failed, state, _closed_tie(state))
+        finally:
+            state[sid] = False
+        return not (zone.isdisjoint(energized) and zone.isdisjoint(added))
+
+    def close(sw: Switch, added: frozenset[str]) -> None:
+        state[sw.id] = True
+        energized.update(added)
+        regions.clear()
+        actions.append(SwitchAction(
+            sw.id, "close", "resupply", "remote" if sw.remote_controlled else "manual"))
 
     # re-close tripped breakers unless they would feed the fault again
     for sid in tripped:
-        energized = safe_to_close(sid, state)
-        if energized is not None:
-            state[sid] = True
-            sw = grid.switches_by_id[sid]
-            actions.append(SwitchAction(
-                sid, "close", "resupply", "remote" if sw.remote_controlled else "manual"))
+        sw = grid.switches_by_id[sid]
+        added = newly_lit(sw)
+        if not feeds_fault(sid, added):
+            close(sw, added)
 
-    stations = {b.id for b in grid.stations()}
+    supplied = pre & {b.id for b in grid.stations()}
     isolated = {a.switch for a in actions if a.stage == "isolate"}
 
     while True:
-        energized = _energized(grid, state, excluded)
-        dark = (pre & stations) - energized
+        dark = supplied - energized
         if not dark:
             break
-        best: tuple[int, str] | None = None
+        best: tuple[tuple[int, str], Switch, frozenset[str]] | None = None
         for sw in grid.switches:
             if state[sw.id] or sw.id in isolated:
                 continue
-            line = grid.lines_by_id.get(sw.line)
-            if line is None or not line.in_service or line.id == failed_line:
-                continue
-            new_energized = safe_to_close(sw.id, state)
-            if new_energized is None:
-                continue
-            gain = len(dark & new_energized)
-            if gain > 0 and (best is None or gain > best[0] or
-                             (gain == best[0] and sw.id < best[1])):
-                best = (gain, sw.id)
+            added = newly_lit(sw)
+            gain = len(dark & added)
+            rank = (-gain, sw.id)
+            if gain and (best is None or rank < best[0]) and not feeds_fault(sw.id, added):
+                best = (rank, sw, added)
         if best is None:
             break
-        sid = best[1]
-        sw = grid.switches_by_id[sid]
-        state[sid] = True
-        actions.append(SwitchAction(
-            sid, "close", "resupply", "remote" if sw.remote_controlled else "manual"))
+        close(best[1], best[2])
 
-    final = _energized(grid, state, excluded)
-    unsupplied = tuple(sorted((pre & stations) - final))
+    unsupplied = tuple(sorted(supplied - energized))
     return SwitchingSequence(failed_line, tuple(actions), state, unsupplied)

@@ -148,10 +148,21 @@ def test_dear_links_keep_the_radial_winner():
 def test_every_topology_column_is_reported(mesh_report):
     for concept, plans in mesh_report.plans.items():
         assert [p.topology for p in plans] == [0, 1, 2], concept
-    # run 0 of the chain concepts dead-ends; the reference comes from run 1
-    assert [p.feasible for p in mesh_report.plans["radial"]] == [False, True, True]
-    assert mesh_report.plans["radial"][0].error
+    # run 0 of the chain concepts ends dearer; the reference comes from run 1
+    assert [p.cost.total for p in mesh_report.plans["radial"]] == [33800.0, 26600.0, 26600.0]
     assert mesh_report.plans["radial"][1].reference
+
+
+def test_a_dead_end_topology_keeps_its_column():
+    # under search seed 1, run 0 of the chain concepts cannot meet the
+    # reliability limits by automation alone; its column says why
+    pr = principles_from_dict(fx.tradeoff_principles_dict(seed=1))
+    report = run_area(fx.mesh_tradeoff_area(), pr, area="mesh")
+    for concept in ("radial", "closed_ring"):
+        plans = report.plans[concept]
+        assert [p.feasible for p in plans] == [False, True, True], concept
+        assert plans[0].error.startswith("reliability constraints cannot be met"), concept
+        assert plans[0].grid is None and plans[0].cost is None, concept
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def test_comparison_json_contents(mesh_report, tmp_path):
         "feasible": True,
         "reference_topology": 1,
         "reference_cost": 26600.0,
-        "topology_costs": [None, 26600.0, 26600.0],
+        "topology_costs": [33800.0, 26600.0, 26600.0],
     }
     assert doc["concepts"]["switching_station"] == {
         "feasible": False,
@@ -228,10 +239,10 @@ def test_comparison_csv_contents(mesh_report, tmp_path):
     area_dir = write_report(mesh_report, tmp_path, timestamp=TIMESTAMP)
     assert (area_dir / "comparison.csv").read_text(encoding="utf-8") == (
         "concept,topology,feasible,cost_total,reference\n"
-        "closed_ring,0,False,,False\n"
+        "closed_ring,0,True,21540.00,False\n"
         "closed_ring,1,True,15540.00,True\n"
         "closed_ring,2,True,15540.00,False\n"
-        "radial,0,False,,False\n"
+        "radial,0,True,33800.00,False\n"
         "radial,1,True,26600.00,True\n"
         "radial,2,True,26600.00,False\n"
         "switching_station,0,False,,False\n"

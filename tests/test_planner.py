@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridforge import fixtures as fx
+from gridforge import planner
 from gridforge.economics import CostModel, concept_overhead
 from gridforge.grid_model import air_line_km, default_scenarios
 from gridforge.planner import (
@@ -32,6 +33,7 @@ from gridforge.planner import (
     phase3_automate,
     phase4_mesh,
 )
+from gridforge.pipeline import run_area
 from gridforge.power_flow import check_contingency_operation, check_normal_operation
 from gridforge.principles import principles_from_dict
 from gridforge.reliability import ReliabilityParams, check_reliability, fmea
@@ -416,6 +418,27 @@ def test_parallel_from_a_busbar_gets_a_remote_breaker():
     assert not ends["d1__p1_b"].remote_controlled
 
 
+def test_parallel_of_an_open_tie_stays_open_where_the_tie_is():
+    mesh = fx.mesh_tradeoff_area()  # h_tie runs r4-r5, open at r4
+    out = apply_measures(mesh, [Measure(kind="AddParallel", target="h_tie")])
+    ends = {s.bus: s.closed for s in out.switches if s.line == "h_tie__p1"}
+    assert ends == {"r4": False, "r5": True}
+    assert check_radiality(out) == []
+
+
+@pytest.mark.parametrize("seed,radial,closed_ring", [
+    (16, 26600.0, 15540.0), (19, 31400.0, 19140.0)])
+def test_trade_off_seeds_that_double_the_tie_find_plans(seed, radial, closed_ring):
+    # these search seeds pick AddParallel on the open tie; a twin built
+    # closed closed the ring, and phase 3 then failed every topology
+    pr = principles_from_dict(fx.tradeoff_principles_dict(seed=seed))
+    report = run_area(fx.mesh_tradeoff_area(), pr, area="mesh")
+    costs = {c: r.cost.total for c, r in report.references.items() if r is not None}
+    assert costs["radial"] == pytest.approx(radial)
+    assert costs["closed_ring"] == pytest.approx(closed_ring)
+    assert report.winner == "closed_ring"
+
+
 def test_trail_measures_build_the_line_and_its_switches():
     grid = fx.double_feeder_grid()
     out = apply_measures(grid, [Measure(kind="AddTrail", target="mv",
@@ -589,6 +612,31 @@ def test_phase2_raises_when_the_catalog_cannot_clear_the_violations():
     with pytest.raises(PlannerError, match="within the catalog") as info:
         phase2_reinforce(grid, SCENARIOS, CostModel(), params)
     assert info.value.violations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
+    # the memos only skip recomputing what an earlier candidate of the same
+    # search already gave, so every search must end where a memo-free one does
+    pr = principles_from_dict(fx.tradeoff_principles_dict(seed=seed))
+    params = replace(pr.planner, seed=seed)
+    area = dismantle(fx.station_tradeoff_area(), 2.0, remove_station=True)
+    trails = candidate_trails(area, fx.CABLE_300.name)
+    grids = [fx.mesh_tradeoff_area(),
+             *(plan.grid for plan in phase1_topologies(area, trails, params))]
+
+    def plans():
+        out = []
+        for grid in grids:
+            reinf = phase2_reinforce(grid, pr.scenarios, pr.cost_model, params)
+            mesh = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, params)
+            out.append((reinf.measures, reinf.grid, mesh.measures, mesh.grid))
+        return out
+
+    memoized = plans()
+    monkeypatch.setattr(planner, "_search_reports", lambda scenarios: (
+        lambda grid, active: planner._operation_report(grid, scenarios)))
+    assert plans() == memoized
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import gridforge.fixtures as fx
+from gridforge import power_flow
 from gridforge.fixtures import CABLE_150, CABLE_300, OVERHEAD_50, GridBuilder
 from gridforge.grid_model import Scenario, Transformer, apply_scenario
 from gridforge.power_flow import (
@@ -21,10 +22,13 @@ from gridforge.power_flow import (
     S_BASE_MVA,
     check_contingency_operation,
     check_normal_operation,
+    contingency_cases,
     polar_jacobian,
     polar_mismatch,
     run_power_flow,
 )
+from gridforge.planner import _reinforcement_pool, apply_measures, phase2_reinforce, phase4_mesh
+from gridforge.principles import principles_from_dict
 
 PEAK_LOAD = Scenario("peak_load", scale_load=1.0, scale_pv=0.0, scale_wind=0.0)
 
@@ -416,3 +420,67 @@ def test_contingency_check_requires_peak_load_scenario():
 def test_result_v_alias():
     result = run_power_flow(fx.two_bus_grid(), PEAK_LOAD)
     assert result.v is result.vm
+
+
+# --------------------------------------------------------------------------
+# N-1 cases computed once per topology
+
+
+@pytest.mark.parametrize("build,principles", [
+    (fx.example_area, fx.example_principles_dict),
+    (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
+    (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
+], ids=["example", "station", "mesh"])
+def test_memoized_cases_give_the_same_contingency_report(build, principles):
+    # cable swaps change no switching sequence, so cases keyed by the other
+    # measures must serve every cable variant of a topology
+    grid = build()
+    pr = principles_from_dict(principles())
+    pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
+    swaps = [m for m in pool if m.kind == "ReplaceLine"]
+    others = [m for m in pool if m.kind != "ReplaceLine"]
+    rng = random.Random(build.__name__)
+    layouts = [(), *(tuple(rng.sample(others, rng.randint(1, min(3, len(others)))))
+                     for _ in range(2) if others)]
+    memo = {}
+    draws = 0
+    for layout in layouts:
+        for _ in range(4):
+            cables = tuple(m for m in swaps if rng.random() < 0.3)
+            candidate = apply_measures(grid, cables + layout)
+            if layout not in memo:
+                memo[layout] = contingency_cases(candidate)
+            assert (check_contingency_operation(candidate, pr.scenarios, cases=memo[layout])
+                    == check_contingency_operation(candidate, pr.scenarios))
+            draws += 1
+    assert len(memo) < draws
+
+
+def test_every_planning_solve_goes_through_the_module_function(monkeypatch):
+    # profilers and checkers that replace power_flow.run_power_flow, called
+    # with four positional arguments, must see every solve of the searches
+    solve = power_flow.run_power_flow
+    newton = power_flow._newton
+    seen = []
+    depth = [0]
+
+    def captured(grid, scenario, switch_state=None, exclude_lines=frozenset()):
+        depth[0] += 1
+        try:
+            result = solve(grid, scenario, switch_state, exclude_lines)
+        finally:
+            depth[0] -= 1
+        seen.append(exclude_lines)
+        return result
+
+    def guarded_newton(*args):
+        assert depth[0] == 1, "a Newton solve ran outside run_power_flow"
+        return newton(*args)
+
+    monkeypatch.setattr(power_flow, "run_power_flow", captured)
+    monkeypatch.setattr(power_flow, "_newton", guarded_newton)
+    pr = principles_from_dict(fx.tradeoff_principles_dict())
+    reinf = phase2_reinforce(fx.mesh_tradeoff_area(), pr.scenarios, pr.cost_model, pr.planner)
+    phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, pr.planner)
+    contingency = sum(1 for excluded in seen if excluded)
+    assert contingency > 0 and len(seen) > contingency

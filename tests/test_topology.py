@@ -5,8 +5,10 @@ The radiality oracle is ground truth by construction: random trees are
 radial by definition, a chord inside one feeder closes a galvanic ring, and
 a chord between two feeders of the same busbar couples them. The verdicts
 must match that knowledge without looking at the implementation. Energized
-sets are cross-checked against a sparse connected-components solve, and the
-second-path checks against dropping every line in turn.
+sets are cross-checked against a sparse connected-components solve, the
+second-path checks against dropping every line in turn, and the resupply
+search, which grows its energized sets, against searching them again from
+the sources for every candidate switch.
 """
 
 import dataclasses
@@ -19,8 +21,15 @@ from scipy.sparse.csgraph import connected_components
 
 import gridforge.fixtures as fx
 from gridforge.fixtures import CABLE_150, GridBuilder
+from gridforge.reliability import ReliabilityParams, outage_matrix
 from gridforge.topology import (
     SwitchAction,
+    SwitchingSequence,
+    _closed_tie,
+    _energized,
+    _fault_closure,
+    _state_map,
+    _trip,
     check_contingency_supply,
     check_radiality,
     check_supply,
@@ -539,3 +548,115 @@ def test_switch_actions_are_frozen_records():
     action = SwitchAction("x@y", "open", "trip", "protection_trip")
     with pytest.raises(dataclasses.FrozenInstanceError):
         action.action = "close"
+
+
+def resupply_oracle(grid, failed_line, switch_state):
+    """The switching sequence with every candidate's energized set searched
+    again from the sources and its fault zone always traced."""
+    state = _state_map(grid, switch_state)
+    failed = grid.lines_by_id[failed_line]
+    pre = _energized(grid, state)
+    actions = []
+    tripped, state = _trip(grid, failed, state)
+    for sid in tripped:
+        actions.append(SwitchAction(sid, "open", "trip", "protection_trip"))
+    excluded = frozenset((failed_line,))
+    for end in sorted((failed.from_bus, failed.to_bus)):
+        sw = grid.switch_at.get((end, failed_line))
+        if sw is not None and state[sw.id]:
+            state[sw.id] = False
+            actions.append(SwitchAction(
+                sw.id, "open", "isolate", "remote" if sw.remote_controlled else "manual"))
+
+    def safe_to_close(sid, current):
+        trial = dict(current)
+        trial[sid] = True
+        energized = _energized(grid, trial, excluded)
+        zone, _, _ = _fault_closure(grid, failed, trial, _closed_tie(trial))
+        return None if energized & zone else energized
+
+    def close(sid):
+        sw = grid.switches_by_id[sid]
+        state[sid] = True
+        actions.append(SwitchAction(
+            sid, "close", "resupply", "remote" if sw.remote_controlled else "manual"))
+
+    for sid in tripped:
+        if safe_to_close(sid, state) is not None:
+            close(sid)
+    stations = {b.id for b in grid.stations()}
+    isolated = {a.switch for a in actions if a.stage == "isolate"}
+    while True:
+        dark = (pre & stations) - _energized(grid, state, excluded)
+        if not dark:
+            break
+        best = None
+        for sw in grid.switches:
+            if state[sw.id] or sw.id in isolated:
+                continue
+            line = grid.lines_by_id.get(sw.line)
+            if line is None or not line.in_service or line.id == failed_line:
+                continue
+            new_energized = safe_to_close(sw.id, state)
+            if new_energized is None:
+                continue
+            gain = len(dark & new_energized)
+            if gain > 0 and (best is None or gain > best[0] or
+                             (gain == best[0] and sw.id < best[1])):
+                best = (gain, sw.id)
+        if best is None:
+            break
+        close(best[1])
+    unsupplied = tuple(sorted((pre & stations) - _energized(grid, state, excluded)))
+    return SwitchingSequence(failed_line, tuple(actions), state, unsupplied)
+
+
+def damaged_infeeds(rng: random.Random):
+    """A :func:`random_infeeds` grid with lines out of service, hard-wired
+    line ends (so fault zones spread past the faulted line), remote-controlled
+    switches, and a switch state with some open chords closed, so that one
+    fault can trip several breakers."""
+    grid = random_infeeds(rng).build()
+    out_of_service = {l.id for l in grid.lines if rng.random() < 0.15}
+    hard_wired = {s.id for s in grid.switches
+                  if s.closed and s.kind != "circuit_breaker" and rng.random() < 0.1}
+    grid = grid.replace(
+        lines=tuple(dataclasses.replace(l, in_service=l.id not in out_of_service)
+                    for l in grid.lines),
+        switches=tuple(dataclasses.replace(s, remote_controlled=rng.random() < 0.3)
+                       for s in grid.switches if s.id not in hard_wired))
+    state = {s.id: s.closed or rng.random() < 0.25 for s in grid.switches}
+    return grid, state
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_resupply_matches_the_full_recompute_oracle(chunk):
+    faults = 0
+    for seed in range(40 * chunk, 40 * chunk + 40):
+        grid, state = damaged_infeeds(random.Random(seed))
+        for feeder in find_feeders(grid, state):
+            seq = resupply_sequence(grid, feeder.head_line, state)
+            expect = resupply_oracle(grid, feeder.head_line, state)
+            assert seq.actions == expect.actions, (seed, feeder.head_line)
+            assert seq.resulting_state == expect.resulting_state, (seed, feeder.head_line)
+            assert seq.unsupplied == expect.unsupplied, (seed, feeder.head_line)
+            faults += 1
+    assert faults > 40
+
+
+def test_outage_matrix_matches_fault_analysis_row_by_row():
+    params = ReliabilityParams()
+    t_fast = params.t_locate + params.t_remote
+    t_slow = params.t_locate + params.t_onsite
+    remote_rows = 0
+    for seed in range(150):
+        grid, state = damaged_infeeds(random.Random(seed))
+        expect = {}
+        for line in grid.lines:
+            if line.in_service:
+                fa = fault_analysis(grid, line.id, state)
+                expect[line.id] = {s: t_fast if s in fa.remote_resuppliable else t_slow
+                                   for s in fa.affected_stations}
+                remote_rows += bool(fa.remote_resuppliable)
+        assert outage_matrix(grid, params, state) == expect, seed
+    assert remote_rows > 0
