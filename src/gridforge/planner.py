@@ -35,6 +35,7 @@ from gridforge.grid_model import (
     air_line_km,
 )
 from gridforge.power_flow import (
+    PlanMemo,
     ViolationReport,
     check_contingency_operation,
     check_normal_operation,
@@ -590,10 +591,14 @@ def _search_reports(scenarios: Sequence[Scenario]
     change only lines and switches, so those are its key. The N-1 switching
     sequences are computed once per topology: cable swaps change no
     switching sequence, so their key is the active measures other than
-    ``ReplaceLine``. Both memos live as long as the returned function.
+    ``ReplaceLine``. The load flows of a report use the search's solve
+    plans (:class:`~gridforge.power_flow.PlanMemo`), so each switch state
+    of a topology is compiled once. The memos live as long as the returned
+    function, and the plans are seen only while a report is computed.
     """
     reports: dict[tuple, ViolationReport] = {}
     n1_cases: dict[tuple[Measure, ...], tuple[SwitchingSequence, ...]] = {}
+    plans = PlanMemo()
 
     def report(grid: Grid, active: tuple[Measure, ...]) -> ViolationReport:
         key = (grid.lines, grid.switches)
@@ -603,7 +608,8 @@ def _search_reports(scenarios: Sequence[Scenario]
             cases = n1_cases.get(topology)
             if cases is None:
                 cases = n1_cases[topology] = contingency_cases(grid)
-            found = reports[key] = _operation_report(grid, scenarios, cases)
+            with plans:
+                found = reports[key] = _operation_report(grid, scenarios, cases)
         return found
 
     return report

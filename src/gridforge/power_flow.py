@@ -16,20 +16,36 @@ resupply switching sequence per feeder head), and the load flows on the
 restored states. The planning searches compute the cases once per topology
 and pass them in, since candidates that differ only in cable types share
 them; every solve still goes through :func:`run_power_flow`.
+
+:func:`run_power_flow` compiles a solve plan, then solves it. The plan holds
+what cable types do not change, as index arrays: per line-coupled component
+that holds an energized transformer busbar, the positions of its buses in
+``grid.buses`` (sorted by id), its slack and PQ indices, and the position
+and end indices of its lines in ``grid.lines`` order. The solve step reads
+the cable types, computes the admittances, assembles Ybus, runs Newton and
+writes the result. Inside a planning search a :class:`PlanMemo` is entered
+while a report is computed: plans are kept per grid structure
+(:attr:`~gridforge.grid_model.Grid.structure_key`), keyed by the open
+switches and the excluded lines, and the scenario injections per structure
+and scenario. The memo dies with the search; outside it every solve
+compiles its plan. Both ways give the same result to the last bit, and
+the same as building everything per call in plain loops: Ybus sums each
+entry's terms in line order, admittances and loadings are scalar Python
+expressions per line (a vectorized ``np.abs`` differs in the last bit), and
+a bus without injection gets ``complex(-0.0, -0.0) / S_BASE_MVA``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from gridforge.grid_model import Grid, Scenario, apply_scenario
 from gridforge.topology import (
     SwitchingSequence,
-    _conducting_lines,
     _energized,
     _state_map,
     find_feeders,
@@ -157,6 +173,200 @@ def _newton(ybus: np.ndarray, sbus: np.ndarray, vm: np.ndarray, va: np.ndarray,
     return vm, va, MAX_ITERATIONS, False
 
 
+class _Component(NamedTuple):
+    """One line-coupled component of a solve plan, as index arrays. Its
+    buses are ``grid.buses[bus_pos]``, sorted by id; ``slack``, ``pq`` and
+    the end rows of ``lines`` index into them."""
+
+    bus_pos: np.ndarray
+    slack: np.ndarray
+    pq: np.ndarray
+    lines: np.ndarray  # rows: position in grid.lines, from-bus, to-bus
+
+
+class PlanMemo:
+    """Solve plans and per-scenario bus tables of one search.
+
+    While a memo is entered (``with memo:``), :func:`run_power_flow` looks
+    its plans up here and compiles each only once; outside every ``with``
+    block nothing is memoized. Plans are kept per
+    :attr:`~gridforge.grid_model.Grid.structure_key`, keyed by the open
+    switches of the solved state and the excluded lines; bus tables per
+    structure and scenario.
+    """
+
+    __slots__ = ("structures", "_grid", "_entry", "_outer")
+
+    def __init__(self) -> None:
+        self.structures: dict[tuple, tuple[dict, dict]] = {}
+        self._grid: Grid | None = None
+        self._entry: tuple[dict, dict] = ({}, {})
+        self._outer: PlanMemo | None = None
+
+    def of(self, grid: Grid) -> tuple[dict[tuple, tuple[_Component, ...]],
+                                      dict[Scenario, tuple[np.ndarray, np.ndarray]]]:
+        """The plans and the bus tables of the grid's structure. A report
+        solves one grid several times, so the last grid's are kept at hand."""
+        if grid is not self._grid:
+            self._grid = grid
+            self._entry = self.structures.setdefault(grid.structure_key, ({}, {}))
+        return self._entry
+
+    def __enter__(self) -> "PlanMemo":
+        global _memo
+        self._outer, _memo = _memo, self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _memo
+        _memo, self._outer = self._outer, None
+
+
+_memo: PlanMemo | None = None  # the memo entered last, if any
+
+
+def _compile(grid: Grid, state: dict[str, bool],
+             exclude_lines: frozenset[str]) -> tuple[_Component, ...]:
+    """The solve plan of one switch state: every line-coupled component
+    that holds an energized transformer busbar, in the order of its lowest
+    bus id, found by a flood from those busbars over conducting lines."""
+    energized = _energized(grid, state, exclude_lines)
+    slack = {t.lv_bus for t in grid.transformers if t.lv_bus in energized}
+    switch_ids = grid.switch_ids_by_line
+    lines_at = grid.lines_at_bus
+    closed = state.__getitem__
+    comps: list[list[str]] = []
+    owner: dict[str, int] = {}  # bus -> number of its component
+    conducting: set[str] = set()
+    for root in slack:
+        if root in owner:
+            continue
+        comp = [root]
+        owner[root] = len(comps)
+        comps.append(comp)
+        queue = [root]
+        while queue:
+            bus = queue.pop()
+            for line in lines_at.get(bus, ()):
+                if (line.id in conducting or not line.in_service
+                        or line.id in exclude_lines
+                        or not all(map(closed, switch_ids.get(line.id, ())))):
+                    continue
+                conducting.add(line.id)
+                other = line.to_bus if line.from_bus == bus else line.from_bus
+                if other not in owner:
+                    owner[other] = owner[root]
+                    comp.append(other)
+                    queue.append(other)
+
+    lines_of: list[list[int]] = [[] for _ in comps]
+    for pos, line in enumerate(grid.lines):
+        if line.id in conducting:
+            lines_of[owner[line.from_bus]].append(pos)
+    bus_pos = {b.id: i for i, b in enumerate(grid.buses)}
+
+    plan = []
+    for k in sorted(range(len(comps)), key=lambda k: min(comps[k])):
+        buses = sorted(comps[k])
+        index = {bus: i for i, bus in enumerate(buses)}
+        positions = lines_of[k]
+        plan.append(_Component(
+            bus_pos=np.array([bus_pos[b] for b in buses]),
+            slack=np.array([i for i, b in enumerate(buses) if b in slack]),
+            pq=np.array([i for i, b in enumerate(buses) if b not in slack], dtype=int),
+            lines=np.array([positions,
+                            [index[grid.lines[p].from_bus] for p in positions],
+                            [index[grid.lines[p].to_bus] for p in positions]],
+                           dtype=int)))
+    return tuple(plan)
+
+
+def _bus_table(grid: Grid, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per bus of ``grid.buses``: the injected power (pu, generation
+    positive) and the start voltage magnitude (the setpoint at transformer
+    busbars, 1 elsewhere)."""
+    inj = apply_scenario(grid, scenario)
+    p, q = inj.p_mw, inj.q_mvar
+    sbus = np.array([complex(-p.get(b.id, 0.0), -q.get(b.id, 0.0)) / S_BASE_MVA
+                     for b in grid.buses], dtype=complex)
+    vm = np.ones(len(grid.buses))
+    pos = {b.id: i for i, b in enumerate(grid.buses)}
+    for t in grid.transformers:
+        if t.lv_bus in pos:
+            vm[pos[t.lv_bus]] = inj.setpoints[t.id]
+    return sbus, vm
+
+
+def _ybus(n: int, f: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bus admittance matrix, accumulated line by line in the given order
+    (ff, tt, ft, tf per line), so every entry sums its terms in line order."""
+    at = np.empty((len(y), 4), dtype=np.intp)  # flat index of ff, tt, ft, tf
+    at[:, 0] = f * (n + 1)
+    at[:, 1] = t * (n + 1)
+    at[:, 2] = f * n + t
+    at[:, 3] = t * n + f
+    terms = np.empty((len(y), 4), dtype=complex)
+    terms[:, :2] = y[:, None]
+    terms[:, 2:] = -y[:, None]
+    ybus = np.zeros(n * n, dtype=complex)
+    np.add.at(ybus, at.ravel(), terms.ravel())  # unbuffered, in index order
+    return ybus.reshape(n, n)
+
+
+def _solve(grid: Grid, plan: tuple[_Component, ...],
+           table: tuple[np.ndarray, np.ndarray]) -> PfResult:
+    """Newton on each component of ``plan`` with the grid's cable types."""
+    sbus_all, vm_all = table
+    types = grid.line_types_by_name
+    vm_out: dict[str, float] = {}
+    va_out: dict[str, float] = {}
+    loading: dict[str, float] = {}
+    p_slack = q_slack = 0.0
+    iterations = 0
+    converged = True
+
+    for comp in plan:
+        buses = [grid.buses[i] for i in comp.bus_pos.tolist()]
+        vn = buses[0].vn
+        z_base = vn * vn / S_BASE_MVA
+        positions, f, t = comp.lines
+        lines = [grid.lines[p] for p in positions.tolist()]
+        admittances = []
+        for line in lines:
+            lt = types[line.line_type]
+            z = complex(lt.r_per_km, lt.x_per_km) * line.length / z_base
+            if z == 0:
+                raise ValueError(f"line {line.id} has zero impedance")
+            admittances.append(1.0 / z)
+        n = len(buses)
+        ybus = _ybus(n, f, t, np.array(admittances, dtype=complex))
+
+        vm, va, its, ok = _newton(ybus, sbus_all[comp.bus_pos], vm_all[comp.bus_pos],
+                                  np.zeros(n), comp.pq)
+        iterations = max(iterations, its)
+        converged = converged and ok
+        if not ok:
+            continue
+
+        v = vm * np.exp(1j * va)
+        i_inj = ybus @ v
+        s_slack = (v[comp.slack] * np.conj(i_inj[comp.slack])).sum()
+        p_slack += s_slack.real * S_BASE_MVA
+        q_slack += s_slack.imag * S_BASE_MVA
+
+        i_base_ka = S_BASE_MVA / (math.sqrt(3.0) * vn)
+        for line, fi, ti, y in zip(lines, f.tolist(), t.tolist(), admittances):
+            i_ka = abs((v[fi] - v[ti]) * y) * i_base_ka
+            loading[line.id] = 100.0 * i_ka / types[line.line_type].i_max
+        ids = [b.id for b in buses]
+        vm_out.update(zip(ids, vm.tolist()))
+        va_out.update(zip(ids, va.tolist()))
+
+    return PfResult(converged=converged, iterations=iterations, vm=vm_out,
+                    va=va_out, loading=loading, p_slack_mw=p_slack,
+                    q_slack_mvar=q_slack)
+
+
 def run_power_flow(grid: Grid, scenario: Scenario,
                    switch_state: dict[str, bool] | None = None,
                    exclude_lines: frozenset[str] = frozenset()) -> PfResult:
@@ -166,106 +376,27 @@ def run_power_flow(grid: Grid, scenario: Scenario,
     solved with the busbar(s) fixed at the scenario setpoint. Buses without
     a voltage in the result were not energized (or not solvable) — the
     checks report the stations among them as unsupplied.
+
+    The solve plan is compiled here, or taken from the entered
+    :class:`PlanMemo`; the result is the same either way.
     """
-    state = _state_map(grid, switch_state)
-    inj = apply_scenario(grid, scenario)
-    energized = _energized(grid, state, exclude_lines)
-    lines = [l for l in _conducting_lines(grid, state, exclude_lines)
-             if l.from_bus in energized and l.to_bus in energized]
-
-    setpoint: dict[str, float] = {}
-    for t in grid.transformers:
-        if t.lv_bus in energized:
-            setpoint[t.lv_bus] = inj.setpoints[t.id]
-
-    # connected components of the solvable (line-coupled) MV graph
-    adj: dict[str, list[str]] = {}
-    for line in lines:
-        adj.setdefault(line.from_bus, []).append(line.to_bus)
-        adj.setdefault(line.to_bus, []).append(line.from_bus)
-    todo = set(adj) | set(setpoint)
-    components: list[list[str]] = []
-    while todo:
-        start = min(todo)
-        comp = [start]
-        todo.discard(start)
-        queue = [start]
-        while queue:
-            bus = queue.pop()
-            for other in adj.get(bus, ()):
-                if other in todo:
-                    todo.discard(other)
-                    comp.append(other)
-                    queue.append(other)
-        components.append(sorted(comp))
-
-    vm_out: dict[str, float] = {}
-    va_out: dict[str, float] = {}
-    loading: dict[str, float] = {}
-    p_slack = q_slack = 0.0
-    iterations = 0
-    converged = True
-
-    for comp in components:
-        slack = [b for b in comp if b in setpoint]
-        if not slack:
-            continue  # nothing holds the voltage here; stays unsolved
-        index = {bus: i for i, bus in enumerate(comp)}
-        n = len(comp)
-        vn = grid.buses_by_id[comp[0]].vn
-        z_base = vn * vn / S_BASE_MVA
-
-        ybus = np.zeros((n, n), dtype=complex)
-        comp_lines = []
-        for line in lines:
-            if line.from_bus not in index:
-                continue
-            lt = grid.line_types_by_name[line.line_type]
-            z = complex(lt.r_per_km, lt.x_per_km) * line.length / z_base
-            if z == 0:
-                raise ValueError(f"line {line.id} has zero impedance")
-            y = 1.0 / z
-            f, t = index[line.from_bus], index[line.to_bus]
-            ybus[f, f] += y
-            ybus[t, t] += y
-            ybus[f, t] -= y
-            ybus[t, f] -= y
-            comp_lines.append((line, f, t, y))
-
-        sbus = np.zeros(n, dtype=complex)
-        for bus, i in index.items():
-            sbus[i] = complex(-inj.p_mw.get(bus, 0.0), -inj.q_mvar.get(bus, 0.0)) / S_BASE_MVA
-
-        vm = np.ones(n)
-        va = np.zeros(n)
-        slack_idx = np.array([index[b] for b in slack])
-        vm[slack_idx] = [setpoint[b] for b in slack]
-        pq = np.array([i for i in range(n) if comp[i] not in setpoint], dtype=int)
-
-        vm, va, its, ok = _newton(ybus, sbus, vm, va, pq)
-        iterations = max(iterations, its)
-        converged = converged and ok
-        if not ok:
-            continue
-
-        v = vm * np.exp(1j * va)
-        i_inj = ybus @ v
-        s_slack = (v[slack_idx] * np.conj(i_inj[slack_idx])).sum()
-        p_slack += s_slack.real * S_BASE_MVA
-        q_slack += s_slack.imag * S_BASE_MVA
-
-        i_base_ka = S_BASE_MVA / (math.sqrt(3.0) * vn)
-        for line, f, t, y in comp_lines:
-            lt = grid.line_types_by_name[line.line_type]
-            i_ka = abs((v[f] - v[t]) * y) * i_base_ka
-            loading[line.id] = 100.0 * i_ka / lt.i_max
-        for bus, i in index.items():
-            vm_out[bus] = float(vm[i])
-            va_out[bus] = float(va[i])
-
-    return PfResult(converged=converged, iterations=iterations, vm=vm_out,
-                    va=va_out, loading=loading, p_slack_mw=p_slack,
-                    q_slack_mvar=q_slack)
+    exclude_lines = frozenset(exclude_lines)
+    memo = _memo
+    if memo is None:
+        return _solve(grid, _compile(grid, _state_map(grid, switch_state), exclude_lines),
+                      _bus_table(grid, scenario))
+    plans, tables = memo.of(grid)
+    # the open switches in grid order: one order for every grid of a structure
+    closed = (switch_state or {}).get
+    key = (tuple([s.id for s in grid.switches if not closed(s.id, s.closed)]),
+           tuple(sorted(exclude_lines)))
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _compile(grid, _state_map(grid, switch_state), exclude_lines)
+    table = tables.get(scenario)
+    if table is None:
+        table = tables[scenario] = _bus_table(grid, scenario)
+    return _solve(grid, plan, table)
 
 
 def _band_violations(grid: Grid, result: PfResult, scenario: Scenario,

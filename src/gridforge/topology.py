@@ -338,19 +338,12 @@ def conducting_path(grid: Grid, state: dict[str, bool], exclude_line: str,
                     start: str, goal: str) -> list[str] | None:
     """Line ids of a conducting path start -> goal that avoids
     ``exclude_line``, or None. Transformer couplings count as conducting
-    but contribute no line id."""
-    adj: dict[str, list[tuple[str, str | None]]] = {}
-    for line in grid.lines:
-        if line.id == exclude_line or not line.in_service:
-            continue
-        if not all(state[s.id] for s in grid.switches_by_line.get(line.id, ())):
-            continue
-        adj.setdefault(line.from_bus, []).append((line.to_bus, line.id))
-        adj.setdefault(line.to_bus, []).append((line.from_bus, line.id))
-    for t in grid.transformers:
-        adj.setdefault(t.hv_bus, []).append((t.lv_bus, None))
-        adj.setdefault(t.lv_bus, []).append((t.hv_bus, None))
-
+    but contribute no line id. Breadth first, lines before transformers at
+    each bus, so the path is a shortest one in hops."""
+    switch_ids = grid.switch_ids_by_line
+    lines_at = grid.lines_at_bus
+    xfmr = grid.transformer_neighbours
+    closed = state.__getitem__
     prev: dict[str, tuple[str, str | None] | None] = {start: None}
     queue = deque([start])
     while queue:
@@ -362,9 +355,16 @@ def conducting_path(grid: Grid, state: dict[str, bool], exclude_line: str,
                 if line_id is not None:
                     path.append(line_id)
             return path[::-1]
-        for other, line_id in adj.get(bus, ()):
+        for line in lines_at.get(bus, ()):
+            other = line.to_bus if line.from_bus == bus else line.from_bus
+            if (other in prev or line.id == exclude_line or not line.in_service
+                    or not all(map(closed, switch_ids.get(line.id, ())))):
+                continue
+            prev[other] = (bus, line.id)
+            queue.append(other)
+        for other in xfmr.get(bus, ()):
             if other not in prev:
-                prev[other] = (bus, line_id)
+                prev[other] = (bus, None)
                 queue.append(other)
     return None
 

@@ -34,7 +34,11 @@ from gridforge.planner import (
     phase4_mesh,
 )
 from gridforge.pipeline import run_area
-from gridforge.power_flow import check_contingency_operation, check_normal_operation
+from gridforge.power_flow import (
+    check_contingency_operation,
+    check_normal_operation,
+    contingency_cases,
+)
 from gridforge.principles import principles_from_dict
 from gridforge.reliability import ReliabilityParams, check_reliability, fmea
 from gridforge.topology import check_contingency_supply, check_radiality, check_supply
@@ -637,6 +641,45 @@ def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
     monkeypatch.setattr(planner, "_search_reports", lambda scenarios: (
         lambda grid, active: planner._operation_report(grid, scenarios)))
     assert plans() == memoized
+
+
+def _two_ties(load_sn: float = 3.0):
+    """Feeder A (mv-a1-a2) with two open ties at a2: t1 over a weak
+    overhead line to feeder C, t2 to feeder B. After a fault on A's head
+    the resupply closes t1, the lower switch id; with the ring over t2
+    closed, B's re-closed breaker carries A instead and t1 stays open."""
+    b = fx.GridBuilder(fx.CABLE_150, fx.OVERHEAD_50)
+    b.infeed("hv", "mv", 0.0, 0.0)
+    for bus, x, y in (("a1", 1000, 0), ("a2", 2000, 0), ("b1", 2000, 1000),
+                      ("c1", 2000, -3000)):
+        b.bus(bus, "secondary_substation", x, y)
+        b.load(bus, load_sn)
+    for line_id, to_bus, km in (("A1", "a1", 1.0), ("B1", "b1", 2.0), ("C1", "c1", 3.0)):
+        b.line(line_id, "mv", to_bus, km, fx.CABLE_150,
+               breaker_at=("mv",), remote_at=("mv",))
+    b.line("A2", "a1", "a2", 1.0, fx.CABLE_150)
+    b.line("t1", "a2", "c1", 3.0, fx.OVERHEAD_50, open_at="a2")
+    b.line("t2", "a2", "b1", 1.0, fx.CABLE_150, open_at="a2")
+    return b.build()
+
+
+def test_a_closed_ring_gets_its_own_contingency_cases():
+    # the N-1 cases are keyed by the topology measures: a ring closure
+    # changes which tie the resupply closes, so it must not reuse the
+    # radial topology's cases
+    radial = _two_ties()
+    close = Measure(kind="CloseRing", target="t2@a2")
+    ring = apply_measures(radial, (close,))
+    head_fault = {case.failed_line: case for case in contingency_cases(radial)}["A1"]
+    ring_fault = {case.failed_line: case for case in contingency_cases(ring)}["A1"]
+    assert head_fault.resulting_state["t1@a2"] and not head_fault.resulting_state["t2@a2"]
+    assert ring_fault.resulting_state["t2@a2"] and not ring_fault.resulting_state["t1@a2"]
+
+    reports = planner._search_reports(SCENARIOS)
+    assert [(v.kind, v.element, v.contingency) for v in reports(radial, ()).entries] == [
+        ("overload", "t1", "A1")]
+    assert reports(ring, (close,)) == planner._operation_report(ring, SCENARIOS)
+    assert reports(ring, (close,)).feasible
 
 
 # --------------------------------------------------------------------------

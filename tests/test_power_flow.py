@@ -9,6 +9,7 @@ iteration that only needs a linear solve per sweep.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gridforge.grid_model import Scenario, Transformer, apply_scenario
 from gridforge.power_flow import (
     MAX_ITERATIONS,
     S_BASE_MVA,
+    PlanMemo,
     check_contingency_operation,
     check_normal_operation,
     contingency_cases,
@@ -29,6 +31,7 @@ from gridforge.power_flow import (
 )
 from gridforge.planner import _reinforcement_pool, apply_measures, phase2_reinforce, phase4_mesh
 from gridforge.principles import principles_from_dict
+from gridforge.topology import energized_buses
 
 PEAK_LOAD = Scenario("peak_load", scale_load=1.0, scale_pv=0.0, scale_wind=0.0)
 
@@ -484,3 +487,215 @@ def test_every_planning_solve_goes_through_the_module_function(monkeypatch):
     phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, pr.planner)
     contingency = sum(1 for excluded in seen if excluded)
     assert contingency > 0 and len(seen) > contingency
+
+
+# --------------------------------------------------------------------------
+# solve plans: compiled once per switch state, exact to the last bit
+#
+# The reference is a load flow that builds everything per call in plain
+# loops: an adjacency search for the components, Ybus line by line, scalar
+# admittances and loadings. It shares only the energized set and the Newton
+# iteration with the package, so a plan that reorders a sum or vectorizes a scalar expression
+# shows up as a last-bit difference.
+
+
+def reference_power_flow(grid, scenario, switch_state=None, exclude_lines=frozenset()):
+    state = {s.id: s.closed for s in grid.switches}
+    state.update((k, v) for k, v in (switch_state or {}).items() if k in state)
+    inj = apply_scenario(grid, scenario)
+    energized = energized_buses(grid, state, exclude_lines)
+    lines = [l for l in grid.lines
+             if l.in_service and l.id not in exclude_lines
+             and all(state[s.id] for s in grid.switches_by_line.get(l.id, ()))
+             and l.from_bus in energized and l.to_bus in energized]
+    setpoint = {t.lv_bus: inj.setpoints[t.id] for t in grid.transformers
+                if t.lv_bus in energized}
+    adj = {}
+    for line in lines:
+        adj.setdefault(line.from_bus, []).append(line.to_bus)
+        adj.setdefault(line.to_bus, []).append(line.from_bus)
+    todo = set(adj) | set(setpoint)
+    components = []
+    while todo:
+        comp = {min(todo)}
+        stack = list(comp)
+        while stack:
+            for other in adj.get(stack.pop(), ()):
+                if other not in comp:
+                    comp.add(other)
+                    stack.append(other)
+        todo -= comp
+        components.append(sorted(comp))
+
+    vm_out, va_out, loading = {}, {}, {}
+    p_slack = q_slack = 0.0
+    iterations, converged = 0, True
+    for comp in components:
+        slack = [b for b in comp if b in setpoint]
+        if not slack:
+            continue
+        index = {bus: i for i, bus in enumerate(comp)}
+        n = len(comp)
+        vn = grid.buses_by_id[comp[0]].vn
+        z_base = vn * vn / S_BASE_MVA
+        ybus = np.zeros((n, n), dtype=complex)
+        comp_lines = []
+        for line in lines:
+            if line.from_bus in index:
+                lt = grid.line_types_by_name[line.line_type]
+                y = 1.0 / (complex(lt.r_per_km, lt.x_per_km) * line.length / z_base)
+                f, t = index[line.from_bus], index[line.to_bus]
+                ybus[f, f] += y
+                ybus[t, t] += y
+                ybus[f, t] -= y
+                ybus[t, f] -= y
+                comp_lines.append((line, f, t, y))
+        sbus = np.array([complex(-inj.p_mw.get(b, 0.0), -inj.q_mvar.get(b, 0.0)) / S_BASE_MVA
+                         for b in comp])
+        vm = np.ones(n)
+        slack_idx = np.array([index[b] for b in slack])
+        vm[slack_idx] = [setpoint[b] for b in slack]
+        pq = np.array([i for i in range(n) if comp[i] not in setpoint], dtype=int)
+        vm, va, its, ok = power_flow._newton(ybus, sbus, vm, np.zeros(n), pq)
+        iterations = max(iterations, its)
+        converged = converged and ok
+        if not ok:
+            continue
+        v = vm * np.exp(1j * va)
+        i_inj = ybus @ v
+        s_slack = (v[slack_idx] * np.conj(i_inj[slack_idx])).sum()
+        p_slack += s_slack.real * S_BASE_MVA
+        q_slack += s_slack.imag * S_BASE_MVA
+        i_base_ka = S_BASE_MVA / (math.sqrt(3.0) * vn)
+        for line, f, t, y in comp_lines:
+            i_ka = abs((v[f] - v[t]) * y) * i_base_ka
+            loading[line.id] = 100.0 * i_ka / grid.line_types_by_name[line.line_type].i_max
+        for bus, i in index.items():
+            vm_out[bus] = float(vm[i])
+            va_out[bus] = float(va[i])
+    return power_flow.PfResult(converged, iterations, vm_out, va_out, loading,
+                               p_slack, q_slack)
+
+
+def exact(result):
+    """Everything of a result, dict order and float bits included."""
+    def bits(d):
+        return [(k, float(v).hex()) for k, v in d.items()]
+    return (result.converged, result.iterations, bits(result.vm), bits(result.va),
+            bits(result.loading), float(result.p_slack_mw).hex(),
+            float(result.q_slack_mvar).hex())
+
+
+def plan_count(memo):
+    return sum(len(plans) for plans, _ in memo.structures.values())
+
+
+@pytest.mark.parametrize("build,principles", [
+    (fx.example_area, fx.example_principles_dict),
+    (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
+    (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
+], ids=["example", "station", "mesh"])
+def test_solve_plans_match_the_reference_solve(build, principles):
+    # one memo for every candidate, as in a search: normal and N-1 solves,
+    # restored states with and without the failed line, across cable variants
+    grid = build()
+    pr = principles_from_dict(principles())
+    peak = next(s for s in pr.scenarios if s.name == "peak_load")
+    pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
+    rng = random.Random(build.__name__)
+    memo = PlanMemo()
+    solves = 0
+    for _ in range(5):
+        candidate = apply_measures(grid, tuple(m for m in pool if rng.random() < 0.3))
+        inputs = [(s, None, frozenset()) for s in pr.scenarios]
+        for case in contingency_cases(candidate):
+            inputs += [(peak, case.resulting_state, frozenset((case.failed_line,))),
+                       (peak, case.resulting_state, frozenset())]
+        for scenario, state, excluded in inputs:
+            expect = exact(reference_power_flow(candidate, scenario, state, excluded))
+            with memo:
+                assert exact(run_power_flow(candidate, scenario, state, excluded)) == expect
+            assert exact(run_power_flow(candidate, scenario, state, excluded)) == expect
+            solves += 1
+    assert plan_count(memo) < solves
+
+
+def random_infeeds(rng: random.Random):
+    """1-3 infeeds with random station trees, random station names (so a
+    component's lowest bus is rarely its busbar), chords between any two
+    buses, some of them closed, and lines out of service."""
+    types = [CABLE_150, CABLE_300, OVERHEAD_50]
+    b = GridBuilder(*types)
+    names = iter(rng.sample([f"{c}{i}" for c in "abcdefghjkpqrsuvwxyz" for i in range(3)], 40))
+    buses = []
+    for k in range(rng.randint(1, 3)):
+        busbar = f"m{k}"
+        b.infeed(f"h{k}", busbar, 8000.0 * k, 0.0)
+        tree = [busbar]
+        for _ in range(rng.randint(1, 8)):
+            bus, parent = next(names), rng.choice(tree)
+            b.bus(bus, "secondary_substation", 8000.0 * k + rng.uniform(0, 5000),
+                  rng.uniform(-3000, 3000))
+            b.line(f"t{bus}", parent, bus, round(rng.uniform(0.3, 1.5), 3), rng.choice(types),
+                   breaker_at=(busbar,) if parent == busbar else ())
+            b.load(bus, round(rng.uniform(0.05, 0.4), 3))
+            tree.append(bus)
+        buses += tree
+    for c in range(rng.randint(0, 4)):
+        u, v = rng.sample(buses, 2)
+        b.line(f"c{c}", u, v, 1.0, CABLE_150, open_at=u if rng.random() < 0.7 else None)
+    grid = b.build()
+    return grid.replace(lines=tuple(replace(l, in_service=rng.random() > 0.1)
+                                    for l in grid.lines))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_solve_plans_match_the_reference_on_several_infeeds(chunk):
+    several = 0  # grids with more than one component
+    for seed in range(40 * chunk, 40 * chunk + 40):
+        rng = random.Random(seed)
+        grid = random_infeeds(rng)
+        memo = PlanMemo()
+        inputs = [(None, frozenset())]
+        for _ in range(3):
+            state = {s.id: s.closed or rng.random() < 0.3 for s in grid.switches}
+            inputs += [(state, frozenset()), (state, frozenset((rng.choice(grid.lines).id,)))]
+        for state, excluded in inputs:
+            expect = exact(reference_power_flow(grid, PEAK_LOAD, state, excluded))
+            with memo:
+                assert exact(run_power_flow(grid, PEAK_LOAD, state, excluded)) == expect, seed
+            assert exact(run_power_flow(grid, PEAK_LOAD, state, excluded)) == expect, seed
+        several += len(power_flow._compile(grid, power_flow._state_map(grid, None),
+                                           frozenset())) > 1
+    assert several > 20
+
+
+def test_plan_key_tells_switch_states_and_excluded_lines_apart():
+    grid = fx.open_ring_demo()
+    closed = {s.id: True for s in grid.switches}
+    ring_opened_at_f2 = {**closed, "f2@s1": False}
+    inputs = [(None, frozenset()), (closed, frozenset()), (ring_opened_at_f2, frozenset()),
+              (closed, frozenset(("f2",))), (closed, frozenset(("f3",)))]
+    memo = PlanMemo()
+    with memo:
+        scoped = [run_power_flow(grid, PEAK_LOAD, state, excluded)
+                  for state, excluded in inputs]
+    assert plan_count(memo) == len(inputs)
+    for (state, excluded), result in zip(inputs, scoped):
+        assert exact(result) == exact(run_power_flow(grid, PEAK_LOAD, state, excluded))
+
+
+def test_plans_are_seen_only_inside_the_memo_block():
+    grid = fx.two_bus_grid()
+    memo = PlanMemo()
+    run_power_flow(grid, PEAK_LOAD)
+    assert plan_count(memo) == 0
+    bad = Scenario("peak_load", scale_load=2.0, scale_pv=0.0, scale_wind=0.0)
+    with pytest.raises(ValueError, match="scale_load"):
+        with memo:
+            run_power_flow(grid, PEAK_LOAD)
+            run_power_flow(grid, bad)
+    assert power_flow._memo is None
+    assert plan_count(memo) == 1
+    run_power_flow(grid, PEAK_LOAD, None, frozenset(("l1",)))
+    assert plan_count(memo) == 1

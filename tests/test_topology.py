@@ -660,3 +660,79 @@ def test_outage_matrix_matches_fault_analysis_row_by_row():
                 remote_rows += bool(fa.remote_resuppliable)
         assert outage_matrix(grid, params, state) == expect, seed
     assert remote_rows > 0
+
+
+# --------------------------------------------------------------------------
+# alternate paths against a search over a prebuilt adjacency
+
+
+def path_oracle(grid, state, exclude_line, start, goal):
+    """Breadth-first search over an adjacency of every conducting line but
+    ``exclude_line`` (grid order) followed by every transformer."""
+    adj = {}
+    for line in grid.lines:
+        if line.id == exclude_line or not line.in_service:
+            continue
+        if all(state[s.id] for s in grid.switches_by_line.get(line.id, ())):
+            adj.setdefault(line.from_bus, []).append((line.to_bus, line.id))
+            adj.setdefault(line.to_bus, []).append((line.from_bus, line.id))
+    for t in grid.transformers:
+        adj.setdefault(t.hv_bus, []).append((t.lv_bus, None))
+        adj.setdefault(t.lv_bus, []).append((t.hv_bus, None))
+    prev = {start: None}
+    queue = [start]
+    for bus in queue:
+        if bus == goal:
+            path = []
+            while prev[bus] is not None:
+                bus, line_id = prev[bus]
+                if line_id is not None:
+                    path.append(line_id)
+            return path[::-1]
+        for other, line_id in adj.get(bus, ()):
+            if other not in prev:
+                prev[other] = (bus, line_id)
+                queue.append(other)
+    return None
+
+
+def shared_hv_infeeds(rng: random.Random):
+    """A :func:`damaged_infeeds` grid whose second busbar, if any, also
+    hangs off the first infeed's HV bus, so two busbars are as near each
+    other over a transformer as over some lines."""
+    grid, state = damaged_infeeds(rng)
+    if "m1" in grid.buses_by_id:
+        grid = grid.replace(transformers=grid.transformers + (dataclasses.replace(
+            grid.transformers[0], id="h0_m1", lv_bus="m1"),))
+    return grid, state
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_conducting_path_matches_the_adjacency_oracle(chunk):
+    found = 0
+    for seed in range(50 * chunk, 50 * chunk + 50):
+        rng = random.Random(seed)
+        grid, state = shared_hv_infeeds(rng)
+        buses = [b.id for b in grid.buses]
+        for line in grid.lines:
+            pairs = [(line.from_bus, line.to_bus), tuple(rng.sample(buses, 2))]
+            for start, goal in pairs:
+                path = conducting_path(grid, state, line.id, start, goal)
+                assert path == path_oracle(grid, state, line.id, start, goal), (seed, line.id)
+                found += path is not None
+    assert found > 100
+
+
+def test_conducting_path_prefers_lines_to_an_equally_near_transformer():
+    b = GridBuilder(CABLE_150)
+    b.infeed("hv", "m0", 0.0, 0.0)
+    b.bus("m1", "primary_substation", 0.0, 2000.0)
+    b.bus("s1", "secondary_substation", 1000.0, 1000.0)
+    b.line("a", "m0", "s1", 1.0, CABLE_150)
+    b.line("b", "s1", "m1", 1.0, CABLE_150)
+    grid = b.build()
+    grid = grid.replace(transformers=grid.transformers + (dataclasses.replace(
+        grid.transformers[0], id="hv_m1", lv_bus="m1"),))
+    closed = {s.id: True for s in grid.switches}
+    assert conducting_path(grid, closed, "none", "m0", "m1") == ["a", "b"]
+    assert conducting_path(grid, closed, "b", "m0", "m1") == []
