@@ -14,7 +14,12 @@ that created it:
 
 The search core is an iterated local search (hill climbing with
 first-improvement bit flips, small random perturbations, better-or-equal
-acceptance, restarts) over a fixed pool of candidate measures.
+acceptance, restarts) over a fixed pool of candidate measures. Its
+objectives are cost-first: each gives a candidate's annual cost at once
+and its violations (the grid checks and load flows) only on demand, so a
+flip whose cost alone already loses is never checked, and in phases 1 and
+2 never built. A load-flow error on such a flip therefore does not raise
+during the search.
 """
 
 from __future__ import annotations
@@ -363,6 +368,7 @@ class IlsResult:
     best: CandidateSolution
     evaluations: int
     trace: tuple[tuple[int, float], ...]  # (evaluation no., best score)
+    bounded: int  # evaluations whose violations were never computed
 
 
 MAGNITUDE_WEIGHT = 100.0  # EUR/a per unit of violation magnitude
@@ -372,7 +378,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-Objective = Callable[[tuple[Measure, ...]], tuple[float, int, float]]
+Violations = Callable[[], tuple[int, float]]  # () -> (count, magnitude)
+Objective = Callable[[tuple[Measure, ...]], tuple[float, Violations]]
 
 
 def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
@@ -380,12 +387,23 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
         start: Sequence[bool] | None = None) -> IlsResult:
     """Minimize cost + violation penalties over subsets of ``pool``.
 
-    ``objective`` maps an active measure tuple to (annual cost, violation
-    count, violation magnitude). The count penalty outweighs the whole
-    pool's cost, so any feasible solution beats every infeasible one.
-    The all-off vector is evaluated first; results are memoized, identical
-    seeds give identical runs, and the returned candidate is the best one
-    ever evaluated.
+    ``objective`` maps an active measure tuple to its annual cost and a
+    zero-argument ``violations()`` that gives (violation count, violation
+    magnitude), both >= 0. The count penalty outweighs the whole pool's
+    cost, so any feasible solution beats every infeasible one. The all-off
+    vector is evaluated first; results are memoized, identical seeds give
+    identical runs, and the returned candidate is the best one ever
+    evaluated.
+
+    Every objective call is one evaluation, but the violations are asked
+    for only when the exact score is needed. A climb flip whose cost alone
+    is at least the current candidate's score cannot be accepted (the
+    penalties are never negative), so it stays pending: it counts against
+    the budget and is memoized, and its violations are computed only if a
+    start, kick, restart or later climb needs its score. The run is the
+    same as with eager violations; ``bounded`` counts the evaluations
+    whose violations were never computed, and an error raised by
+    ``violations()`` surfaces only when they are.
 
     Raises:
         ValueError: empty pool, or an evaluation budget below 1.
@@ -399,23 +417,35 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
     count_weight = 10.0 * max(sum(m.cost_per_year for m in pool), 1.0)
 
     memo: dict[tuple[bool, ...], CandidateSolution] = {}
+    pending: dict[tuple[bool, ...], tuple[float, Violations]] = {}
     best: CandidateSolution | None = None
     evaluations = 0
     trace: list[tuple[int, float]] = []
 
-    def evaluate(vec: tuple[bool, ...]) -> CandidateSolution:
+    def evaluate(vec: tuple[bool, ...],
+                 bound: float = math.inf) -> CandidateSolution | None:
+        """The scored candidate, or None for one whose cost is >= bound."""
         nonlocal best, evaluations
         hit = memo.get(vec)
         if hit is not None:
             return hit
-        if evaluations >= params.max_evaluations:
-            raise _BudgetExhausted
-        evaluations += 1
-        cost, count, magnitude = objective(tuple(m for m, on in zip(pool, vec) if on))
+        waiting = pending.pop(vec, None)
+        if waiting is None:
+            if evaluations >= params.max_evaluations:
+                raise _BudgetExhausted
+            evaluations += 1
+            waiting = objective(tuple(m for m, on in zip(pool, vec) if on))
+        cost, violations = waiting
+        if cost >= bound:
+            pending[vec] = waiting
+            return None
+        count, magnitude = violations()
         cand = CandidateSolution(
             vec, cost, count, magnitude,
             cost + count_weight * count + MAGNITUDE_WEIGHT * magnitude)
         memo[vec] = cand
+        # a resolved pending vector never sets a record: its score is at
+        # least the bound it missed, and that was a score already seen
         if best is None or cand.score < best.score:
             best = cand
             trace.append((evaluations, cand.score))
@@ -429,8 +459,8 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
             rng.shuffle(order)
             for i in order:
                 vec = cand.active[:i] + (not cand.active[i],) + cand.active[i + 1:]
-                trial = evaluate(vec)
-                if trial.score < cand.score:
+                trial = evaluate(vec, cand.score)
+                if trial is not None and trial.score < cand.score:
                     cand = trial
                     improved = True
         return cand
@@ -468,7 +498,7 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
     except _BudgetExhausted:
         pass
 
-    return IlsResult(best, evaluations, tuple(trace))
+    return IlsResult(best, evaluations, tuple(trace), len(pending))
 
 
 # --------------------------------------------------------------------------
@@ -551,11 +581,12 @@ def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
         return [StagePlan(grid=grid, measures=moves)
                 for _ in range(params.n_topologies)]
 
-    def objective(active: tuple[Measure, ...]) -> tuple[float, int, float]:
-        candidate = apply_measures(dismantled, active)
-        violations = _topology_violations(candidate)
-        return (sum(m.cost_per_year for m in active),
-                len(violations), float(len(violations)))
+    def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
+        def violations() -> tuple[int, float]:
+            found = _topology_violations(apply_measures(dismantled, active))
+            return len(found), float(len(found))
+
+        return sum(m.cost_per_year for m in active), violations
 
     plans = []
     for k in range(params.n_topologies):
@@ -638,30 +669,33 @@ def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
 def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
                       ) -> tuple[Grid, tuple[Measure, ...], ViolationReport]:
     """Greedily move open points around their rings while that strictly
-    reduces (violation count, magnitude). Switching is free."""
-    report = _operation_report(grid, scenarios)
-    measures: list[Measure] = []
-    while not report.feasible:
-        score = (len(report), report.total_magnitude)
-        best = None  # (score, close_id, open_id, grid, report)
-        for sectioning, ring in _tie_points(grid):
-            for ring_line in ring:
-                for sw in sorted(grid.switches_by_line.get(ring_line, ()),
-                                 key=lambda s: s.id):
-                    if not sw.closed or sw.kind != "load_break":
-                        continue
-                    trial = apply_measures(grid, (
-                        Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
-                        Measure(kind="SetSectioningPoint", target=sw.id, closed=False)))
-                    trial_report = _operation_report(trial, scenarios)
-                    trial_score = (len(trial_report), trial_report.total_magnitude)
-                    if trial_score < score and (best is None or trial_score < best[0]):
-                        best = (trial_score, sectioning.id, sw.id, trial, trial_report)
-        if best is None:
-            break
-        _, close_id, open_id, grid, report = best
-        measures.append(Measure(kind="SetSectioningPoint", target=close_id, closed=True))
-        measures.append(Measure(kind="SetSectioningPoint", target=open_id, closed=False))
+    reduces (violation count, magnitude). Switching is free. The
+    load flows of all trials share one :class:`~gridforge.power_flow.PlanMemo`,
+    so a switch state is compiled once however often it is solved."""
+    with PlanMemo():
+        report = _operation_report(grid, scenarios)
+        measures: list[Measure] = []
+        while not report.feasible:
+            score = (len(report), report.total_magnitude)
+            best = None  # (score, close_id, open_id, grid, report)
+            for sectioning, ring in _tie_points(grid):
+                for ring_line in ring:
+                    for sw in sorted(grid.switches_by_line.get(ring_line, ()),
+                                     key=lambda s: s.id):
+                        if not sw.closed or sw.kind != "load_break":
+                            continue
+                        trial = apply_measures(grid, (
+                            Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
+                            Measure(kind="SetSectioningPoint", target=sw.id, closed=False)))
+                        trial_report = _operation_report(trial, scenarios)
+                        trial_score = (len(trial_report), trial_report.total_magnitude)
+                        if trial_score < score and (best is None or trial_score < best[0]):
+                            best = (trial_score, sectioning.id, sw.id, trial, trial_report)
+            if best is None:
+                break
+            _, close_id, open_id, grid, report = best
+            measures.append(Measure(kind="SetSectioningPoint", target=close_id, closed=True))
+            measures.append(Measure(kind="SetSectioningPoint", target=open_id, closed=False))
     return grid, tuple(measures), report
 
 
@@ -716,9 +750,12 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
 
     reports = _search_reports(scenarios)
 
-    def objective(active: tuple[Measure, ...]) -> tuple[float, int, float]:
-        rep = reports(apply_measures(base, active), active)
-        return (sum(m.cost_per_year for m in active), len(rep), rep.total_magnitude)
+    def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
+        def violations() -> tuple[int, float]:
+            rep = reports(apply_measures(base, active), active)
+            return len(rep), rep.total_magnitude
+
+        return sum(m.cost_per_year for m in active), violations
 
     # quick upper-bound probe: strongest build-out must be feasible
     strongest: dict[str, Measure] = {}
@@ -809,13 +846,17 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
 
     reports = _search_reports(scenarios)
 
-    def objective(active: tuple[Measure, ...]) -> tuple[float, int, float]:
+    def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
         candidate = realize(active)
-        rep = reports(candidate, active)
         cost = (sum(m.cost_per_year for m in active)
                 + len(forced_automation(active)) * cost_model.communication_link
                 + concept_overhead(candidate, "closed_ring", cost_model).total)
-        return cost, len(rep), rep.total_magnitude
+
+        def violations() -> tuple[int, float]:
+            rep = reports(candidate, active)
+            return len(rep), rep.total_magnitude
+
+        return cost, violations
 
     if not pool:
         return StagePlan(grid=base, measures=())

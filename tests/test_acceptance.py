@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from gridforge import fixtures as fx
+from gridforge import power_flow
 from gridforge.economics import CostModel, annualize
 from gridforge.grid_model import validate_grid
 from gridforge.pipeline import _flag_contingency_supply, run_area, write_report
@@ -259,7 +260,7 @@ def test_07_neighbour_pairs_match_brute_force():
 
 
 @criterion("whole-area comparison is feasible, valid and byte-stable")
-def test_08_example_area_end_to_end(tmp_path):
+def test_08_example_area_end_to_end(tmp_path, monkeypatch):
     area = fx.example_area()
     principles = principles_from_dict(fx.example_principles_dict())
     assert 20 <= len(area.stations()) <= 30
@@ -289,8 +290,18 @@ def test_08_example_area_end_to_end(tmp_path):
                          check_reliability(grid, principles.reliability, baseline)]
         assert findings == [], (concept, findings)
 
-    # a second run from scratch must serialize to the very same bytes
+    # a second run from scratch must serialize to the very same bytes; it
+    # also counts its load flows, a budget that machine speed cannot move
+    solves = [0]
+    solve = power_flow.run_power_flow
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(power_flow, "run_power_flow", counted)
     second = run_area(area, principles, area="example")
+    assert 0 < solves[0] <= 12_490
     stamp = "2026-01-01T00:00:00+00:00"
     write_report(first, tmp_path / "a", timestamp=stamp)
     write_report(second, tmp_path / "b", timestamp=stamp)
@@ -305,7 +316,7 @@ def test_08_example_area_end_to_end(tmp_path):
         assert a == b, f"{rel} differs between identical runs"
     return (f"3 references revalidated clean; {len(files_a)} report files "
             f"byte-identical across runs; winner {first.winner}; "
-            f"run took {t_first:.1f} s")
+            f"run took {t_first:.1f} s with {solves[0]} load flows")
 
 
 @criterion("cost trade-offs point in the documented directions")

@@ -7,6 +7,7 @@ test.  The staged phases run on small fixtures with frozen outcomes.
 """
 
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -33,7 +34,7 @@ from gridforge.planner import (
     phase3_automate,
     phase4_mesh,
 )
-from gridforge.pipeline import run_area
+from gridforge.pipeline import _flag_contingency_supply, run_area
 from gridforge.power_flow import (
     check_contingency_operation,
     check_normal_operation,
@@ -79,7 +80,7 @@ def make_cover_instance(seed):
         for m in active:
             covered |= cover[index[m.target]]
             cost += m.cost_per_year
-        return cost, (full & ~covered).bit_count(), 0.0
+        return cost, lambda: ((full & ~covered).bit_count(), 0.0)
 
     return pool, objective, cover, costs, full
 
@@ -165,20 +166,20 @@ def test_search_matches_exhaustive_enumeration():
 
 def test_search_rejects_an_empty_pool():
     with pytest.raises(ValueError, match="empty"):
-        ils([], lambda active: (0.0, 0, 0.0), PlannerParams())
+        ils([], lambda active: (0.0, lambda: (0, 0.0)), PlannerParams())
 
 
 def test_search_rejects_a_zero_evaluation_budget():
     pool = [Measure(kind="AutomateStation", target="a")]
     with pytest.raises(ValueError, match="budget"):
-        ils(pool, lambda active: (0.0, 0, 0.0), PlannerParams(max_evaluations=0))
+        ils(pool, lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(max_evaluations=0))
 
 
 def test_search_rejects_a_start_vector_of_the_wrong_length():
     pool = [Measure(kind="AutomateStation", target="a"),
             Measure(kind="AutomateStation", target="b")]
     with pytest.raises(ValueError, match="start vector"):
-        ils(pool, lambda active: (0.0, 0, 0.0), PlannerParams(), start=[True])
+        ils(pool, lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(), start=[True])
 
 
 def test_search_evaluates_the_all_off_vector_first():
@@ -237,10 +238,155 @@ def test_search_trace_is_strictly_improving():
 def test_search_keeps_a_cost_free_optimum():
     pool = [Measure(kind="AutomateStation", target=f"m{i}", cost_per_year=100.0)
             for i in range(6)]
-    result = ils(pool, lambda active: (sum(m.cost_per_year for m in active), 0, 0.0),
+    result = ils(pool,
+                 lambda active: (sum(m.cost_per_year for m in active), lambda: (0, 0.0)),
                  PlannerParams(max_evaluations=500), seed=8)
     assert result.best.active == (False,) * 6
     assert result.best.cost == 0.0
+
+
+# --------------------------------------------------------------------------
+# oracle 3: the search with eager violations
+#
+# The search asks for a candidate's violations only when its score can
+# matter.  The reference is the search that computes them at every
+# evaluation; both must take the same path: the same best candidate,
+# evaluation count and trace, also when the budget runs out mid-climb.
+
+
+def reference_ils(pool, objective, params, *, seed=None, start=None):
+    """``objective`` maps the active measures to (cost, count, magnitude).
+    Returns (best, evaluations, trace)."""
+    n = len(pool)
+    rng = random.Random(params.seed if seed is None else seed)
+    count_weight = 10.0 * max(sum(m.cost_per_year for m in pool), 1.0)
+    memo = {}
+    best, evaluations, trace = None, 0, []
+
+    def evaluate(vec):
+        nonlocal best, evaluations
+        if vec in memo:
+            return memo[vec]
+        if evaluations >= params.max_evaluations:
+            raise planner._BudgetExhausted
+        evaluations += 1
+        cost, count, magnitude = objective(tuple(m for m, on in zip(pool, vec) if on))
+        cand = memo[vec] = planner.CandidateSolution(
+            vec, cost, count, magnitude,
+            cost + count_weight * count + planner.MAGNITUDE_WEIGHT * magnitude)
+        if best is None or cand.score < best.score:
+            best = cand
+            trace.append((evaluations, cand.score))
+        return cand
+
+    def climb(cand):
+        improved = True
+        while improved:
+            improved = False
+            order = list(range(n))
+            rng.shuffle(order)
+            for i in order:
+                trial = evaluate(cand.active[:i] + (not cand.active[i],) + cand.active[i + 1:])
+                if trial.score < cand.score:
+                    cand, improved = trial, True
+        return cand
+
+    try:
+        current = evaluate((False,) * n)
+        if start is not None:
+            current = evaluate(tuple(bool(b) for b in start))
+        current = climb(current)
+        non_improving, restarts_left = 0, params.restarts
+        while True:
+            score_before = best.score
+            kicked = list(current.active)
+            for i in rng.sample(range(n), max(1, math.ceil(params.perturbation * n))):
+                kicked[i] = not kicked[i]
+            cand = climb(evaluate(tuple(kicked)))
+            if cand.score <= current.score:
+                current = cand
+            non_improving = 0 if best.score < score_before else non_improving + 1
+            if non_improving >= params.non_improving_limit:
+                if restarts_left <= 0:
+                    break
+                restarts_left -= 1
+                non_improving = 0
+                current = climb(evaluate(tuple(rng.random() < 0.5 for _ in range(n))))
+    except planner._BudgetExhausted:
+        pass
+    return best, evaluations, tuple(trace)
+
+
+def eager(objective):
+    """The objective with the (cost, count, magnitude) contract."""
+
+    def scored(active):
+        cost, violations = objective(active)
+        return (cost, *violations())
+
+    return scored
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_takes_the_path_of_eager_violations(seed):
+    pool, objective, cover, costs, full = make_cover_instance(seed)
+    # every third measure free, so flips tie the bound exactly; and costs
+    # below 4 EUR/a, so flips come within a fraction of it
+    free = [replace(m, cost_per_year=0.0) if i % 3 == 0 else m
+            for i, m in enumerate(pool)]
+    tiny = [replace(m, cost_per_year=m.cost_per_year / 1000.0) for m in pool]
+
+    def weighted(active):  # uncovered elements also carry a magnitude
+        cost, violations = objective(active)
+        return cost, lambda: (violations()[0], 0.25 * violations()[0])
+
+    rng = random.Random(seed)
+    start = [rng.random() < 0.5 for _ in pool]
+    bounded = 0
+    for instance, obj in ((pool, objective), (free, objective), (tiny, objective),
+                          (pool, weighted)):
+        for budget, restarts, begin in itertools.product(
+                (1, 2, 5, 9, 17, 60, 600), (0, 2), (None, start)):
+            params = PlannerParams(max_evaluations=budget, restarts=restarts,
+                                   non_improving_limit=4,
+                                   perturbation=0.3 if seed % 2 else 0.05)
+            got = ils(instance, obj, params, seed=seed, start=begin)
+            want = reference_ils(instance, eager(obj), params, seed=seed, start=begin)
+            assert (got.best, got.evaluations, got.trace) == want
+            assert 0 <= got.bounded <= got.evaluations
+            bounded += got.bounded
+    if exhaustive_subset_optimum(cover, costs, full)[0] == 0:
+        # a flip that adds a measure to a feasible candidate is bounded
+        assert bounded > 0
+
+
+def test_a_pending_flip_reached_by_a_kick_is_resolved():
+    # from the free all-off optimum both one-bit flips cost more than its
+    # score, so the first climb leaves them pending; the one-bit kick then
+    # lands on one of them and needs its exact score
+    pool = [Measure(kind="AutomateStation", target=f"m{i}", cost_per_year=100.0)
+            for i in range(2)]
+    called, resolved = [], []
+
+    def objective(active):
+        called.append(active)
+
+        def violations():
+            resolved.append(active)
+            return 0, 0.0
+
+        return sum(m.cost_per_year for m in active), violations
+
+    params = PlannerParams(max_evaluations=50, non_improving_limit=1, restarts=0)
+    result = ils(pool, objective, params, seed=0)
+    assert sorted(map(len, called[:3])) == [0, 1, 1]  # all-off, then both flips
+    assert len(called) == len(set(called)) == result.evaluations == 3
+    assert resolved[0] == () and len(resolved) == 2
+    kicked = resolved[1]
+    assert len(kicked) == 1 and called.index(kicked) < 3  # evaluated in the climb
+    assert result.bounded == 1  # the other flip stays pending
+    assert (result.best, result.evaluations, result.trace) == reference_ils(
+        pool, eager(objective), params, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -616,6 +762,30 @@ def test_phase2_raises_when_the_catalog_cannot_clear_the_violations():
     with pytest.raises(PlannerError, match="within the catalog") as info:
         phase2_reinforce(grid, SCENARIOS, CostModel(), params)
     assert info.value.violations
+
+
+def test_phase2_on_the_example_area_skips_the_checks_of_bounded_flips(monkeypatch):
+    # most climb flips add a cable to a candidate that scores less than
+    # their cost alone, so the search never builds or checks them
+    pr = principles_from_dict(fx.example_principles_dict())
+    params = replace(pr.planner, n_topologies=1)
+    area = dismantle(_flag_contingency_supply(fx.example_area()),
+                     params.dismantle_threshold_km, remove_station=True)
+    trails = candidate_trails(area, params.cable_catalog[-1],
+                              trail_factor=params.trail_factor, cost_model=pr.cost_model)
+    topology = phase1_topologies(area, trails, params)[0]
+    results = []
+    search = planner.ils
+
+    def recorded(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(planner, "ils", recorded)
+    phase2_reinforce(topology.grid, pr.scenarios, pr.cost_model, params)
+    [result] = results
+    assert result.best.feasible
+    assert 0 < result.bounded <= result.evaluations
 
 
 @pytest.mark.parametrize("seed", range(4))
