@@ -218,17 +218,19 @@ class Grid:
 
     @cached_property
     def structure_key(self) -> tuple:
-        """Everything but cable types and switch positions: line ids, ends
-        and service flags, where the switches sit, and the buses,
-        transformers, sources and injections. Grids with equal keys differ
-        at most in line types, lengths and which switches are closed."""
+        """Everything but cable choices and switch positions: line ids, ends
+        and service flags, where the switches sit, the buses, transformers,
+        sources and injections, and the line type catalog. Grids with equal
+        keys differ at most in the type and length of each line and in
+        which switches are closed."""
         lines, switches = self.lines, self.switches
         return (
             tuple(l.id for l in lines), tuple(l.from_bus for l in lines),
             tuple(l.to_bus for l in lines), tuple(l.in_service for l in lines),
             tuple(s.id for s in switches), tuple(s.bus for s in switches),
             tuple(s.line for s in switches),
-            self.buses, self.transformers, self.external_sources, self.injections)
+            self.buses, self.transformers, self.external_sources, self.injections,
+            self.line_types)
 
     def stations(self) -> list[Bus]:
         return [b for b in self.buses if b.kind in STATION_KINDS]

@@ -17,7 +17,7 @@ import pytest
 import gridforge.fixtures as fx
 from gridforge import power_flow
 from gridforge.fixtures import CABLE_150, CABLE_300, OVERHEAD_50, GridBuilder
-from gridforge.grid_model import Scenario, Transformer, apply_scenario
+from gridforge.grid_model import Scenario, Transformer, apply_scenario, validate_grid
 from gridforge.power_flow import (
     MAX_ITERATIONS,
     S_BASE_MVA,
@@ -492,14 +492,19 @@ def test_every_planning_solve_goes_through_the_module_function(monkeypatch):
 # --------------------------------------------------------------------------
 # solve plans: compiled once per switch state, exact to the last bit
 #
-# The reference is a load flow that builds everything per call in plain
-# loops: an adjacency search for the components, Ybus line by line, scalar
-# admittances and loadings. It shares only the energized set and the Newton
-# iteration with the package, so a plan that reorders a sum or vectorizes a scalar expression
-# shows up as a last-bit difference.
+# Two references build everything per call in plain loops: an adjacency
+# search for the components, Ybus line by line, scalar admittances and
+# loadings. They share only the energized set and the Newton iteration with
+# the package. The block reference cuts each component at its slack
+# busbars, as the package does, so a plan that reorders a sum or vectorizes
+# a scalar expression shows up as a last-bit difference. The joint
+# reference solves each component in one Newton, as before the cut; the
+# package must agree with it to a tolerance.
 
 
-def reference_power_flow(grid, scenario, switch_state=None, exclude_lines=frozenset()):
+def _reference_components(grid, scenario, switch_state, exclude_lines):
+    """Scenario injections, slack setpoints, conducting energized lines in
+    grid order, and the components holding a slack busbar, each sorted."""
     state = {s.id: s.closed for s in grid.switches}
     state.update((k, v) for k, v in (switch_state or {}).items() if k in state)
     inj = apply_scenario(grid, scenario)
@@ -525,56 +530,149 @@ def reference_power_flow(grid, scenario, switch_state=None, exclude_lines=frozen
                     comp.add(other)
                     stack.append(other)
         todo -= comp
-        components.append(sorted(comp))
+        if comp & set(setpoint):
+            components.append(sorted(comp))
+    return inj, setpoint, lines, components
 
+
+def _reference_newton(grid, inj, setpoint, buses, lines):
+    """Newton on the given buses (sorted) and lines (grid order), Ybus and
+    loadings in plain loops. Returns (vm, va, iterations, converged,
+    loading per line id, slack power in pu)."""
+    index = {bus: i for i, bus in enumerate(buses)}
+    n = len(buses)
+    vn = grid.buses_by_id[buses[0]].vn
+    z_base = vn * vn / S_BASE_MVA
+    ybus = np.zeros((n, n), dtype=complex)
+    branches = []
+    for line in lines:
+        lt = grid.line_types_by_name[line.line_type]
+        y = 1.0 / (complex(lt.r_per_km, lt.x_per_km) * line.length / z_base)
+        f, t = index[line.from_bus], index[line.to_bus]
+        ybus[f, f] += y
+        ybus[t, t] += y
+        ybus[f, t] -= y
+        ybus[t, f] -= y
+        branches.append((line, f, t, y))
+    sbus = np.array([complex(-inj.p_mw.get(b, 0.0), -inj.q_mvar.get(b, 0.0)) / S_BASE_MVA
+                     for b in buses])
+    vm = np.ones(n)
+    slack_idx = np.array([index[b] for b in buses if b in setpoint], dtype=int)
+    vm[slack_idx] = [setpoint[b] for b in buses if b in setpoint]
+    pq = np.array([i for i in range(n) if buses[i] not in setpoint], dtype=int)
+    vm, va, its, ok = power_flow._newton(ybus, sbus, vm, np.zeros(n), pq)
+    loading, s_slack = {}, 0j
+    if ok:
+        v = vm * np.exp(1j * va)
+        i_inj = ybus @ v
+        s_slack = (v[slack_idx] * np.conj(i_inj[slack_idx])).sum()
+        i_base_ka = S_BASE_MVA / (math.sqrt(3.0) * vn)
+        for line, f, t, y in branches:
+            i_ka = abs((v[f] - v[t]) * y) * i_base_ka
+            loading[line.id] = 100.0 * i_ka / grid.line_types_by_name[line.line_type].i_max
+    return vm, va, its, ok, loading, s_slack
+
+
+def reference_power_flow(grid, scenario, switch_state=None, exclude_lines=frozenset()):
+    """Each component cut into blocks at its slack busbars: the PQ buses
+    joined by lines that pass no busbar, with the busbars they touch, and a
+    line between two busbars alone. Blocks are solved in the order of their
+    first line; a component with a block that fails is left out."""
+    inj, setpoint, lines, components = _reference_components(
+        grid, scenario, switch_state, exclude_lines)
     vm_out, va_out, loading = {}, {}, {}
     p_slack = q_slack = 0.0
     iterations, converged = 0, True
     for comp in components:
-        slack = [b for b in comp if b in setpoint]
-        if not slack:
+        members = set(comp)
+        comp_lines = [l for l in lines if l.from_bus in members]
+        block_of = {}  # PQ bus -> block number
+        for bus in comp:
+            if bus in setpoint or bus in block_of:
+                continue
+            block_of[bus] = number = len(set(block_of.values()))
+            stack = [bus]
+            while stack:
+                here = stack.pop()
+                for line in comp_lines:
+                    for a, b in ((line.from_bus, line.to_bus), (line.to_bus, line.from_bus)):
+                        if a == here and b not in setpoint and b not in block_of:
+                            block_of[b] = number
+                            stack.append(b)
+        groups = {}
+        for line in comp_lines:
+            pq_ends = [b for b in (line.from_bus, line.to_bus) if b not in setpoint]
+            key = block_of[pq_ends[0]] if pq_ends else line.id
+            groups.setdefault(key, []).append(line)
+        blocks = sorted(groups.values(), key=lambda group: comp_lines.index(group[0]))
+
+        solved = []
+        for group in blocks:
+            buses = sorted({b for line in group for b in (line.from_bus, line.to_bus)})
+            vm, va, its, ok, flows, s_slack = _reference_newton(grid, inj, setpoint,
+                                                                buses, group)
+            iterations = max(iterations, its)
+            solved.append((buses, vm, va, ok, flows, s_slack))
+        if not all(ok for _, _, _, ok, _, _ in solved):
+            converged = False
             continue
-        index = {bus: i for i, bus in enumerate(comp)}
-        n = len(comp)
-        vn = grid.buses_by_id[comp[0]].vn
-        z_base = vn * vn / S_BASE_MVA
-        ybus = np.zeros((n, n), dtype=complex)
-        comp_lines = []
-        for line in lines:
-            if line.from_bus in index:
-                lt = grid.line_types_by_name[line.line_type]
-                y = 1.0 / (complex(lt.r_per_km, lt.x_per_km) * line.length / z_base)
-                f, t = index[line.from_bus], index[line.to_bus]
-                ybus[f, f] += y
-                ybus[t, t] += y
-                ybus[f, t] -= y
-                ybus[t, f] -= y
-                comp_lines.append((line, f, t, y))
-        sbus = np.array([complex(-inj.p_mw.get(b, 0.0), -inj.q_mvar.get(b, 0.0)) / S_BASE_MVA
-                         for b in comp])
-        vm = np.ones(n)
-        slack_idx = np.array([index[b] for b in slack])
-        vm[slack_idx] = [setpoint[b] for b in slack]
-        pq = np.array([i for i in range(n) if comp[i] not in setpoint], dtype=int)
-        vm, va, its, ok = power_flow._newton(ybus, sbus, vm, np.zeros(n), pq)
+        vm_bus = {b: setpoint[b] for b in comp if b in setpoint}
+        va_bus = {b: 0.0 for b in comp if b in setpoint}
+        flows_all = {}
+        for buses, vm, va, _, flows, s_slack in solved:
+            for i, bus in enumerate(buses):
+                if bus not in setpoint:
+                    vm_bus[bus], va_bus[bus] = vm[i], va[i]
+            flows_all.update(flows)
+            p_slack += s_slack.real * S_BASE_MVA
+            q_slack += s_slack.imag * S_BASE_MVA
+        for bus in comp:
+            vm_out[bus] = float(vm_bus[bus])
+            va_out[bus] = float(va_bus[bus])
+        for line in comp_lines:
+            loading[line.id] = flows_all[line.id]
+    return power_flow.PfResult(converged, iterations, vm_out, va_out, loading,
+                               p_slack, q_slack)
+
+
+def joint_reference_power_flow(grid, scenario, switch_state=None, exclude_lines=frozenset()):
+    """One Newton per component, as before the components were cut."""
+    inj, setpoint, lines, components = _reference_components(
+        grid, scenario, switch_state, exclude_lines)
+    vm_out, va_out, loading = {}, {}, {}
+    p_slack = q_slack = 0.0
+    iterations, converged = 0, True
+    for comp in components:
+        members = set(comp)
+        comp_lines = [l for l in lines if l.from_bus in members]
+        vm, va, its, ok, flows, s_slack = _reference_newton(grid, inj, setpoint,
+                                                            comp, comp_lines)
         iterations = max(iterations, its)
         converged = converged and ok
         if not ok:
             continue
-        v = vm * np.exp(1j * va)
-        i_inj = ybus @ v
-        s_slack = (v[slack_idx] * np.conj(i_inj[slack_idx])).sum()
         p_slack += s_slack.real * S_BASE_MVA
         q_slack += s_slack.imag * S_BASE_MVA
-        i_base_ka = S_BASE_MVA / (math.sqrt(3.0) * vn)
-        for line, f, t, y in comp_lines:
-            i_ka = abs((v[f] - v[t]) * y) * i_base_ka
-            loading[line.id] = 100.0 * i_ka / grid.line_types_by_name[line.line_type].i_max
-        for bus, i in index.items():
+        loading.update(flows)
+        for i, bus in enumerate(comp):
             vm_out[bus] = float(vm[i])
             va_out[bus] = float(va[i])
     return power_flow.PfResult(converged, iterations, vm_out, va_out, loading,
                                p_slack, q_slack)
+
+
+def assert_near_joint(result, joint, context=None):
+    """The block solve against the joint one: same buses, lines, iteration
+    count and verdict, voltages within 1e-9 pu."""
+    assert (result.converged, result.iterations) == (joint.converged, joint.iterations), context
+    assert set(result.vm) == set(joint.vm) and set(result.loading) == set(joint.loading), context
+    for bus in joint.vm:
+        v = result.vm[bus] * np.exp(1j * result.va[bus])
+        assert abs(v - joint.vm[bus] * np.exp(1j * joint.va[bus])) <= 1e-9, (context, bus)
+    for line in joint.loading:
+        assert abs(result.loading[line] - joint.loading[line]) <= 1e-6, (context, line)
+    assert abs(complex(result.p_slack_mw - joint.p_slack_mw,
+                       result.q_slack_mvar - joint.q_slack_mvar)) <= 1e-6, context
 
 
 def exact(result):
@@ -615,7 +713,10 @@ def test_solve_plans_match_the_reference_solve(build, principles):
             expect = exact(reference_power_flow(candidate, scenario, state, excluded))
             with memo:
                 assert exact(run_power_flow(candidate, scenario, state, excluded)) == expect
-            assert exact(run_power_flow(candidate, scenario, state, excluded)) == expect
+            result = run_power_flow(candidate, scenario, state, excluded)
+            assert exact(result) == expect
+            assert_near_joint(result, joint_reference_power_flow(candidate, scenario,
+                                                                 state, excluded))
             solves += 1
     assert plan_count(memo) < solves
 
@@ -626,7 +727,8 @@ def random_infeeds(rng: random.Random):
     buses, some of them closed, and lines out of service."""
     types = [CABLE_150, CABLE_300, OVERHEAD_50]
     b = GridBuilder(*types)
-    names = iter(rng.sample([f"{c}{i}" for c in "abcdefghjkpqrsuvwxyz" for i in range(3)], 40))
+    # no station may be named like an infeed bus (h*, m*)
+    names = iter(rng.sample([f"{c}{i}" for c in "abcdefgnjkpqrsuvwxyz" for i in range(3)], 40))
     buses = []
     for k in range(rng.randint(1, 3)):
         busbar = f"m{k}"
@@ -645,8 +747,10 @@ def random_infeeds(rng: random.Random):
         u, v = rng.sample(buses, 2)
         b.line(f"c{c}", u, v, 1.0, CABLE_150, open_at=u if rng.random() < 0.7 else None)
     grid = b.build()
-    return grid.replace(lines=tuple(replace(l, in_service=rng.random() > 0.1)
+    grid = grid.replace(lines=tuple(replace(l, in_service=rng.random() > 0.1)
                                     for l in grid.lines))
+    assert validate_grid(grid) == []
+    return grid
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -664,7 +768,10 @@ def test_solve_plans_match_the_reference_on_several_infeeds(chunk):
             expect = exact(reference_power_flow(grid, PEAK_LOAD, state, excluded))
             with memo:
                 assert exact(run_power_flow(grid, PEAK_LOAD, state, excluded)) == expect, seed
-            assert exact(run_power_flow(grid, PEAK_LOAD, state, excluded)) == expect, seed
+            result = run_power_flow(grid, PEAK_LOAD, state, excluded)
+            assert exact(result) == expect, seed
+            assert_near_joint(result, joint_reference_power_flow(grid, PEAK_LOAD, state,
+                                                                 excluded), seed)
         several += len(power_flow._compile(grid, power_flow._state_map(grid, None),
                                            frozenset())) > 1
     assert several > 20
@@ -699,3 +806,92 @@ def test_plans_are_seen_only_inside_the_memo_block():
     assert plan_count(memo) == 1
     run_power_flow(grid, PEAK_LOAD, None, frozenset(("l1",)))
     assert plan_count(memo) == 1
+
+
+# --------------------------------------------------------------------------
+# blocks: components cut at their slack busbars
+
+
+def test_a_diverging_block_drops_its_whole_component():
+    # two feeders off m1 are two blocks of one component; the far one cannot
+    # carry its load, so neither feeder nor the busbar gets a voltage, while
+    # the separate component behind m2 is solved
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.bus("a1", "secondary_substation", 2000.0, 0.0)
+    b.line("la", "m1", "a1", 2.0, CABLE_150, breaker_at=("m1",))
+    b.load("a1", 1.0)
+    b.bus("z1", "secondary_substation", -5000.0, 0.0)
+    b.line("lz", "m1", "z1", 5.0, CABLE_150, breaker_at=("m1",))
+    b.load("z1", 500.0)
+    b.infeed("h2", "m2", 9000.0, 0.0)
+    b.bus("a2", "secondary_substation", 11000.0, 0.0)
+    b.line("lb", "m2", "a2", 2.0, CABLE_150, breaker_at=("m2",))
+    b.load("a2", 1.0)
+    grid = b.build()
+    plan = power_flow._compile(grid, power_flow._state_map(grid, None), frozenset())
+    assert [len(c.blocks) for c in plan] == [2, 1]
+
+    result = run_power_flow(grid, PEAK_LOAD)
+    assert not result.converged
+    assert set(result.vm) == {"m2", "a2"} and set(result.loading) == {"lb"}
+    assert exact(result) == exact(reference_power_flow(grid, PEAK_LOAD))
+    joint = joint_reference_power_flow(grid, PEAK_LOAD)
+    assert set(joint.vm) == set(result.vm) and not joint.converged
+    report = check_normal_operation(grid, (PEAK_LOAD,))
+    assert {(v.kind, v.element) for v in report.entries} >= {
+        ("nonconvergence", "peak_load"), ("unsupplied", "a1"), ("unsupplied", "z1")}
+
+    healthy = run_power_flow(grid, PEAK_LOAD, {"lz@m1": False})
+    assert healthy.converged and {"m1", "a1", "m2", "a2"} == set(healthy.vm)
+
+
+def test_unchanged_blocks_come_from_the_memo(monkeypatch):
+    # candidates that differ in one feeder's cable type or length solve only
+    # that feeder again; every result equals the unscoped solve bit for bit
+    grid = fx.example_area()
+    plan = power_flow._compile(grid, power_flow._state_map(grid, None), frozenset())
+    blocks = [b for c in plan for b in c.blocks]
+    assert len(blocks) > 2
+    line = grid.lines[blocks[1].key[0]]
+    other_type = next(t.name for t in grid.line_types if t.name != line.line_type)
+    variants = [grid.replace(lines=tuple(replace(l, **change) if l.id == line.id else l
+                                         for l in grid.lines))
+                for change in ({"line_type": other_type}, {"length": line.length + 0.5})]
+    newton = power_flow._newton
+    calls = []
+    monkeypatch.setattr(power_flow, "_newton",
+                        lambda *args: calls.append(1) or newton(*args))
+    memo = PlanMemo()
+    scoped = []
+    for candidate, misses in ((grid, len(blocks)), *((v, 1) for v in variants), (grid, 0)):
+        calls.clear()
+        with memo:
+            scoped.append(run_power_flow(candidate, PEAK_LOAD))
+        assert len(calls) == misses
+    for candidate, result in zip((grid, *variants, grid), scoped):
+        assert exact(result) == exact(run_power_flow(candidate, PEAK_LOAD))
+    assert scoped[1].loading[line.id] != scoped[0].loading[line.id]
+    assert scoped[2].loading[line.id] != scoped[0].loading[line.id]
+
+
+def test_contingency_check_shares_unchanged_feeders(monkeypatch):
+    # outside any memo, the N-1 solves of one check share the blocks a fault
+    # leaves as they were
+    grid = fx.example_area()
+    peak = next(s for s in principles_from_dict(fx.example_principles_dict()).scenarios
+                if s.name == "peak_load")
+    cases = contingency_cases(grid)
+    blocks = sum(len(c.blocks) for case in cases
+                 for c in power_flow._compile(grid, power_flow._state_map(grid, case.resulting_state),
+                                              frozenset((case.failed_line,))))
+    newton = power_flow._newton
+    calls = []
+    monkeypatch.setattr(power_flow, "_newton",
+                        lambda *args: calls.append(1) or newton(*args))
+    report = check_contingency_operation(grid, (peak,), cases=cases)
+    assert power_flow._memo is None
+    assert 0 < len(calls) < blocks
+    calls.clear()
+    with PlanMemo():
+        assert check_contingency_operation(grid, (peak,), cases=cases) == report
