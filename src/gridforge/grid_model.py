@@ -218,17 +218,19 @@ class Grid:
 
     @cached_property
     def structure_key(self) -> tuple:
-        """Everything but cable choices and switch positions: line ids, ends
-        and service flags, where the switches sit, the buses, transformers,
-        sources and injections, and the line type catalog. Grids with equal
-        keys differ at most in the type and length of each line and in
-        which switches are closed."""
+        """Everything but cable choices, switch positions and remote
+        control: line ids, ends and service flags, where the switches sit
+        and their kinds (the protection trip reads which are circuit
+        breakers), the buses, transformers, sources and injections, and the
+        line type catalog. Grids with equal keys differ at most in the type
+        and length of each line, in which switches are closed and in which
+        are remote controlled."""
         lines, switches = self.lines, self.switches
         return (
             tuple(l.id for l in lines), tuple(l.from_bus for l in lines),
             tuple(l.to_bus for l in lines), tuple(l.in_service for l in lines),
             tuple(s.id for s in switches), tuple(s.bus for s in switches),
-            tuple(s.line for s in switches),
+            tuple(s.line for s in switches), tuple(s.kind for s in switches),
             self.buses, self.transformers, self.external_sources, self.injections,
             self.line_types)
 

@@ -104,47 +104,36 @@ def _flag_contingency_supply(grid: Grid) -> Grid:
     return grid.replace(buses=buses)
 
 
-def _phase_seeds(params_seed: int, k: int) -> tuple[int, int]:
-    base = params_seed + 104729 * (k + 1)
-    return base + 1, base + 3  # reinforcement seed, meshing seed
-
-
-def _plan_chain(k: int, dismantled: Grid, trails: list[Measure],
-                principles: PlanningPrinciples, baseline: FmeaResult,
-                removed_station: str | None,
-                with_closed_ring: bool) -> dict[str, ConceptPlan]:
-    """Phases 1-3 for one radial topology, plus the derived closed-ring plan."""
+def _run_task(task) -> dict[str, ConceptPlan]:
+    """Phases 1-3 for topology ``k`` of one family, plus the closed-ring
+    plan derived from it when the family asks for one; the unit of work
+    of the ``--jobs`` pool. A family is the concept, the seed offset of its
+    searches, its bookkeeping measures, whether it meshes, the dismantled
+    grid, the trail candidates, the principles and the baseline FMEA."""
+    k, (concept, seed_offset, bookkeeping, mesh, dismantled, trails,
+        principles, baseline) = task
     params = principles.planner
-    seed2, seed4 = _phase_seeds(params.seed, k)
-    out: dict[str, ConceptPlan] = {}
-    bookkeeping = ()
-    if removed_station is not None:
-        bookkeeping = (Measure(kind="RemoveSwitchingStation", target=removed_station),)
-
+    seed = params.seed + seed_offset
+    base = seed + 104729 * (k + 1)  # phase 2 seeds base + 1, phase 4 base + 3
     try:
         topo = phase1_topologies(
-            dismantled, trails, replace(params, n_topologies=1, seed=params.seed + k))[0]
+            dismantled, trails, replace(params, n_topologies=1, seed=seed + k))[0]
         reinf = phase2_reinforce(topo.grid, principles.scenarios,
-                                 principles.cost_model, params, seed=seed2)
+                                 principles.cost_model, params, seed=base + 1)
         auto = phase3_automate(reinf.grid, baseline, principles.reliability,
                                principles.cost_model)
     except (PlannerError, ReliabilityError) as exc:
-        failed = ConceptPlan("radial", k, feasible=False, error=str(exc))
-        out["radial"] = failed
-        if with_closed_ring:
-            out["closed_ring"] = ConceptPlan("closed_ring", k, feasible=False,
-                                             error=str(exc))
-        return out
+        return {c: ConceptPlan(c, k, feasible=False, error=str(exc))
+                for c in ((concept, "closed_ring") if mesh else (concept,))}
 
     measures = topo.measures + reinf.measures + auto.measures + bookkeeping
-    out["radial"] = ConceptPlan(
-        "radial", k, feasible=True, grid=auto.grid, measures=measures,
+    out = {concept: ConceptPlan(
+        concept, k, feasible=True, grid=auto.grid, measures=measures,
         cost=plan_cost(auto.grid, measures, principles.cost_model),
-        fmea=fmea(auto.grid, principles.reliability))
-
-    if with_closed_ring:
+        fmea=fmea(auto.grid, principles.reliability))}
+    if mesh:
         out["closed_ring"] = _mesh_plan(k, reinf, auto.measures, topo.measures,
-                                        bookkeeping, principles, seed4)
+                                        bookkeeping, principles, base + 3)
     return out
 
 
@@ -165,38 +154,6 @@ def _mesh_plan(k: int, reinf: ReinforcementPlan, auto_measures: tuple[Measure, .
         "closed_ring", k, feasible=True, grid=mesh.grid, measures=measures,
         cost=cost,
         fmea=fmea(mesh.grid, principles.reliability, ring_protection=True))
-
-
-def _plan_station(k: int, dismantled: Grid, trails: list[Measure],
-                  principles: PlanningPrinciples, baseline: FmeaResult,
-                  station: str) -> ConceptPlan:
-    """Phases 1-3 for one topology that keeps (and renews) the station."""
-    params = principles.planner
-    seed2, _ = _phase_seeds(params.seed + 500009, k)
-    try:
-        topo = phase1_topologies(
-            dismantled, trails,
-            replace(params, n_topologies=1, seed=params.seed + 500009 + k))[0]
-        reinf = phase2_reinforce(topo.grid, principles.scenarios,
-                                 principles.cost_model, params, seed=seed2)
-        auto = phase3_automate(reinf.grid, baseline, principles.reliability,
-                               principles.cost_model)
-    except (PlannerError, ReliabilityError) as exc:
-        return ConceptPlan("switching_station", k, feasible=False, error=str(exc))
-    renew = Measure(kind="RenewSwitchingStation", target=station,
-                    cost_per_year=principles.cost_model.switching_station)
-    measures = topo.measures + reinf.measures + auto.measures + (renew,)
-    return ConceptPlan(
-        "switching_station", k, feasible=True, grid=auto.grid, measures=measures,
-        cost=plan_cost(auto.grid, measures, principles.cost_model),
-        fmea=fmea(auto.grid, principles.reliability))
-
-
-def _run_task(payload) -> tuple[str, int, dict[str, ConceptPlan]]:
-    kind, k, args = payload
-    if kind == "chain":
-        return kind, k, _plan_chain(k, *args)
-    return kind, k, {"switching_station": _plan_station(k, *args)}
 
 
 def _validation_findings(plan: ConceptPlan, principles: PlanningPrinciples,
@@ -259,7 +216,9 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
 
     The environment variable ``GRIDFORGE_SEED`` overrides the configured
     search seed. Individual topology failures mark that topology (or the
-    whole concept, if all fail) infeasible instead of raising.
+    whole concept, if all fail) infeasible instead of raising. An area with
+    more than one switching station gets infeasible plans under every
+    concept, and one without any under ``switching_station``.
 
     Raises:
         ValueError: unknown concept, empty cable catalog, catalog naming
@@ -284,35 +243,36 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
     baseline = fmea(baseline_grid, principles.reliability)
 
     stations = [b.id for b in grid.buses if b.kind == "switching_station"]
-    tasks = []
     plans: dict[str, list[ConceptPlan]] = {c: [] for c in concepts}
-
-    want_chain = "radial" in concepts or "closed_ring" in concepts
-    if want_chain:
-        removed = dismantle(baseline_grid, params.dismantle_threshold_km,
-                            remove_station=bool(stations))
-        trails = candidate_trails(removed, trail_type,
-                                  trail_factor=params.trail_factor,
-                                  cost_model=principles.cost_model)
-        chain_args = (removed, trails, principles, baseline,
-                      stations[0] if stations else None, "closed_ring" in concepts)
-        tasks += [("chain", k, chain_args) for k in range(params.n_topologies)]
-
-    if "switching_station" in concepts:
-        if len(stations) == 1:
-            kept = dismantle(baseline_grid, params.dismantle_threshold_km,
-                             remove_station=False)
-            station_trails = candidate_trails(kept, trail_type,
-                                              trail_factor=params.trail_factor,
-                                              cost_model=principles.cost_model)
-            station_args = (kept, station_trails, principles, baseline, stations[0])
-            tasks += [("station", k, station_args) for k in range(params.n_topologies)]
-        else:
+    tasks = []
+    # the radial family (with the closed ring derived from it) removes the
+    # switching station, the station family keeps and renews it
+    for family, seed_offset in (("radial", 0), ("switching_station", 500009)):
+        keep = family == "switching_station"
+        wanted = [c for c in concepts if (c == "switching_station") == keep]
+        if not wanted:
+            continue
+        if len(stations) > 1 or (keep and not stations):
             reason = ("no switching station in the area" if not stations
                       else "more than one switching station in the area")
-            plans["switching_station"] = [
-                ConceptPlan("switching_station", k, feasible=False, error=reason)
-                for k in range(params.n_topologies)]
+            for concept in wanted:
+                plans[concept] = [ConceptPlan(concept, k, feasible=False, error=reason)
+                                  for k in range(params.n_topologies)]
+            continue
+        if keep:
+            bookkeeping = (Measure(kind="RenewSwitchingStation", target=stations[0],
+                                   cost_per_year=principles.cost_model.switching_station),)
+        else:
+            bookkeeping = tuple(Measure(kind="RemoveSwitchingStation", target=station)
+                                for station in stations)
+        dismantled = dismantle(baseline_grid, params.dismantle_threshold_km,
+                               remove_station=bool(stations) and not keep)
+        trails = candidate_trails(dismantled, trail_type,
+                                  trail_factor=params.trail_factor,
+                                  cost_model=principles.cost_model)
+        job = (family, seed_offset, bookkeeping, "closed_ring" in wanted,
+               dismantled, trails, principles, baseline)
+        tasks += [(k, job) for k in range(params.n_topologies)]
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -320,13 +280,10 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
     else:
         results = [_run_task(t) for t in tasks]
 
-    by_key = {(kind, k): result for kind, k, result in results}
-    for kind, k, _ in sorted(results, key=lambda r: (r[0], r[1])):
-        for concept, plan in by_key[(kind, k)].items():
+    for result in results:  # in task order, so each concept's in topology order
+        for concept, plan in result.items():
             if concept in plans:
                 plans[concept].append(plan)
-    for concept_plans in plans.values():
-        concept_plans.sort(key=lambda p: p.topology)
 
     for concept in concepts:
         _select_reference(plans[concept], principles, baseline)

@@ -44,7 +44,6 @@ from gridforge.power_flow import (
     ViolationReport,
     check_contingency_operation,
     check_normal_operation,
-    contingency_cases,
 )
 from gridforge.reliability import (
     FmeaResult,
@@ -53,7 +52,6 @@ from gridforge.reliability import (
     automate_for_reliability,
 )
 from gridforge.topology import (
-    SwitchingSequence,
     _state_map,
     _UnionFind,
     check_contingency_supply,
@@ -608,39 +606,30 @@ def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
 # phase 2: operational reinforcement
 
 
-def _operation_report(grid: Grid, scenarios: Sequence[Scenario],
-                      cases: Sequence[SwitchingSequence] | None = None) -> ViolationReport:
+def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationReport:
     return check_normal_operation(grid, scenarios).merged(
-        check_contingency_operation(grid, scenarios, cases=cases))
+        check_contingency_operation(grid, scenarios))
 
 
-def _search_reports(scenarios: Sequence[Scenario]
-                    ) -> Callable[[Grid, tuple[Measure, ...]], ViolationReport]:
-    """Operation reports for one search over measures on one base grid.
+def _search_reports(scenarios: Sequence[Scenario]) -> Callable[[Grid], ViolationReport]:
+    """Operation reports for one search on one base grid.
 
-    A grid built before in the search gets its report back; the measures
-    change only lines and switches, so those are its key. The N-1 switching
-    sequences are computed once per topology: cable swaps change no
-    switching sequence, so their key is the active measures other than
-    ``ReplaceLine``. The load flows of a report use the search's solve
-    plans (:class:`~gridforge.power_flow.PlanMemo`), so each switch state
-    of a topology is compiled once. The memos live as long as the returned
-    function, and the plans are seen only while a report is computed.
+    A grid built before in the search gets its report back; the searches
+    change only lines and switches, so those are its key. The reports share
+    the search's :class:`~gridforge.power_flow.PlanMemo`, so each switch
+    state of a topology is compiled once and its N-1 cases are computed
+    once. The memos live as long as the returned function, and the plans
+    are seen only while a report is computed.
     """
     reports: dict[tuple, ViolationReport] = {}
-    n1_cases: dict[tuple[Measure, ...], tuple[SwitchingSequence, ...]] = {}
-    plans = PlanMemo()
+    memo = PlanMemo()
 
-    def report(grid: Grid, active: tuple[Measure, ...]) -> ViolationReport:
+    def report(grid: Grid) -> ViolationReport:
         key = (grid.lines, grid.switches)
         found = reports.get(key)
         if found is None:
-            topology = tuple(m for m in active if m.kind != "ReplaceLine")
-            cases = n1_cases.get(topology)
-            if cases is None:
-                cases = n1_cases[topology] = contingency_cases(grid)
-            with plans:
-                found = reports[key] = _operation_report(grid, scenarios, cases)
+            with memo:
+                found = reports[key] = _operation_report(grid, scenarios)
         return found
 
     return report
@@ -669,33 +658,33 @@ def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
 def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
                       ) -> tuple[Grid, tuple[Measure, ...], ViolationReport]:
     """Greedily move open points around their rings while that strictly
-    reduces (violation count, magnitude). Switching is free. The
-    load flows of all trials share one :class:`~gridforge.power_flow.PlanMemo`,
-    so a switch state is compiled once however often it is solved."""
-    with PlanMemo():
-        report = _operation_report(grid, scenarios)
-        measures: list[Measure] = []
-        while not report.feasible:
-            score = (len(report), report.total_magnitude)
-            best = None  # (score, close_id, open_id, grid, report)
-            for sectioning, ring in _tie_points(grid):
-                for ring_line in ring:
-                    for sw in sorted(grid.switches_by_line.get(ring_line, ()),
-                                     key=lambda s: s.id):
-                        if not sw.closed or sw.kind != "load_break":
-                            continue
-                        trial = apply_measures(grid, (
-                            Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
-                            Measure(kind="SetSectioningPoint", target=sw.id, closed=False)))
-                        trial_report = _operation_report(trial, scenarios)
-                        trial_score = (len(trial_report), trial_report.total_magnitude)
-                        if trial_score < score and (best is None or trial_score < best[0]):
-                            best = (trial_score, sectioning.id, sw.id, trial, trial_report)
-            if best is None:
-                break
-            _, close_id, open_id, grid, report = best
-            measures.append(Measure(kind="SetSectioningPoint", target=close_id, closed=True))
-            measures.append(Measure(kind="SetSectioningPoint", target=open_id, closed=False))
+    reduces (violation count, magnitude). Switching is free. The trials
+    are one search (:func:`_search_reports`), so a switch state is compiled
+    and its N-1 cases are computed once however often it is checked."""
+    reports = _search_reports(scenarios)
+    report = reports(grid)
+    measures: list[Measure] = []
+    while not report.feasible:
+        score = (len(report), report.total_magnitude)
+        best = None  # (score, close_id, open_id, grid, report)
+        for sectioning, ring in _tie_points(grid):
+            for ring_line in ring:
+                for sw in sorted(grid.switches_by_line.get(ring_line, ()),
+                                 key=lambda s: s.id):
+                    if not sw.closed or sw.kind != "load_break":
+                        continue
+                    trial = apply_measures(grid, (
+                        Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
+                        Measure(kind="SetSectioningPoint", target=sw.id, closed=False)))
+                    trial_report = reports(trial)
+                    trial_score = (len(trial_report), trial_report.total_magnitude)
+                    if trial_score < score and (best is None or trial_score < best[0]):
+                        best = (trial_score, sectioning.id, sw.id, trial, trial_report)
+        if best is None:
+            break
+        _, close_id, open_id, grid, report = best
+        measures.append(Measure(kind="SetSectioningPoint", target=close_id, closed=True))
+        measures.append(Measure(kind="SetSectioningPoint", target=open_id, closed=False))
     return grid, tuple(measures), report
 
 
@@ -752,7 +741,7 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
 
     def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
         def violations() -> tuple[int, float]:
-            rep = reports(apply_measures(base, active), active)
+            rep = reports(apply_measures(base, active))
             return len(rep), rep.total_magnitude
 
         return sum(m.cost_per_year for m in active), violations
@@ -766,7 +755,7 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
         else:
             parallels.append(m)
     probe = tuple(list(strongest.values()) + parallels)
-    probe_report = reports(apply_measures(base, probe), probe)
+    probe_report = reports(apply_measures(base, probe))
     if not probe_report.feasible:
         raise PlannerError("grid cannot be reinforced within the catalog",
                            probe_report.entries)
@@ -776,7 +765,7 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
     if not result.best.feasible:
         raise PlannerError(
             "reinforcement search ended infeasible (budget too small?)",
-            reports(apply_measures(base, cables), cables).entries)
+            reports(apply_measures(base, cables)).entries)
     return ReinforcementPlan(apply_measures(base, cables), moves + cables,
                              base, cables)
 
@@ -853,7 +842,7 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
                 + concept_overhead(candidate, "closed_ring", cost_model).total)
 
         def violations() -> tuple[int, float]:
-            rep = reports(candidate, active)
+            rep = reports(candidate)
             return len(rep), rep.total_magnitude
 
         return cost, violations
@@ -867,7 +856,7 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
     chosen = result.best.measures(pool)
     if not result.best.feasible:
         raise PlannerError("meshing search lost feasibility",
-                           reports(realize(chosen), chosen).entries)
+                           reports(realize(chosen)).entries)
     links = tuple(
         Measure(kind="AutomateStation", target=bus,
                 cost_per_year=cost_model.communication_link)

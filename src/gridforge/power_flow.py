@@ -22,9 +22,10 @@ switch.
 
 The N-1 check splits into a topology half, :func:`contingency_cases` (the
 resupply switching sequence per feeder head), and the load flows on the
-restored states. The planning searches compute the cases once per topology
-and pass them in, since candidates that differ only in cable types share
-them; every solve still goes through :func:`run_power_flow`.
+restored states. The cases read only the grid structure and the open
+switches, so the check keeps them in the entered :class:`PlanMemo` under
+that key, and candidates that differ only in cable types share them; every
+solve still goes through :func:`run_power_flow`.
 
 :func:`run_power_flow` compiles a solve plan, then solves it. The plan holds
 what cable choices do not change, as indices: per line-coupled
@@ -34,7 +35,8 @@ and end indices of its lines in ``grid.lines`` order. The solve step reads
 the cable types, computes the admittances, assembles Ybus, runs Newton per
 block and merges the blocks. A :class:`PlanMemo` keeps the plans per grid
 structure (:attr:`~gridforge.grid_model.Grid.structure_key`), keyed by the
-open switches and the excluded lines, and per structure and scenario the
+open switches and the excluded lines, the N-1 cases per structure and open
+switches, and per structure and scenario the
 bus injections and the block results, keyed by the block's line
 positions, cable types and lengths; so a candidate or an N-1 case that
 changes one feeder solves only that feeder again. A planning search enters
@@ -247,27 +249,30 @@ class PlanMemo:
     :attr:`~gridforge.grid_model.Grid.structure_key`, keyed by the open
     switches of the solved state and the excluded lines; bus tables per
     structure and scenario, each with the results of the blocks solved in
-    that scenario.
+    that scenario; and the :func:`contingency_cases` of
+    :func:`check_contingency_operation` per structure, keyed by the open
+    switches.
     """
 
     __slots__ = ("structures", "_grid", "_entry", "_outer")
 
     def __init__(self) -> None:
-        self.structures: dict[tuple, tuple[dict, dict]] = {}
+        self.structures: dict[tuple, tuple[dict, dict, dict]] = {}
         self._grid: Grid | None = None
         self._entry: tuple = ()
         self._outer: PlanMemo | None = None
 
     def of(self, grid: Grid) -> tuple[dict[tuple, tuple[_Component, ...]],
                                       dict[Scenario, _Table],
+                                      dict[tuple[str, ...], tuple[SwitchingSequence, ...]],
                                       tuple[tuple[str, ...], tuple[float, ...]]]:
-        """The plans and the bus tables of the grid's structure, and the
-        grid's cable type and length per line. A report solves one grid
-        several times, so the last grid's are kept at hand."""
+        """The plans, the bus tables and the N-1 cases of the grid's
+        structure, and the grid's cable type and length per line. A report
+        solves one grid several times, so the last grid's are kept at hand."""
         if grid is not self._grid:
             self._grid = grid
             lines = grid.lines
-            self._entry = (*self.structures.setdefault(grid.structure_key, ({}, {})),
+            self._entry = (*self.structures.setdefault(grid.structure_key, ({}, {}, {})),
                            (tuple([l.line_type for l in lines]),
                             tuple([l.length for l in lines])))
         return self._entry
@@ -288,6 +293,12 @@ _memo: PlanMemo | None = None  # the memo entered last, if any
 def _scope() -> PlanMemo | nullcontext:
     """A fresh memo to enter around several solves, unless one is entered."""
     return PlanMemo() if _memo is None else nullcontext()
+
+
+def _open_switches(grid: Grid, switch_state: dict[str, bool] | None) -> tuple[str, ...]:
+    """The open switches in grid order: one order for every grid of a structure."""
+    closed = (switch_state or {}).get
+    return tuple([s.id for s in grid.switches if not closed(s.id, s.closed)])
 
 
 def _compile(grid: Grid, state: dict[str, bool],
@@ -506,11 +517,8 @@ def run_power_flow(grid: Grid, scenario: Scenario,
     the same either way.
     """
     exclude_lines = frozenset(exclude_lines)
-    plans, tables, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
-    # the open switches in grid order: one order for every grid of a structure
-    closed = (switch_state or {}).get
-    key = (tuple([s.id for s in grid.switches if not closed(s.id, s.closed)]),
-           tuple(sorted(exclude_lines)))
+    plans, tables, _, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
+    key = (_open_switches(grid, switch_state), tuple(sorted(exclude_lines)))
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _compile(grid, _state_map(grid, switch_state), exclude_lines)
@@ -560,9 +568,9 @@ def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
     """The topology half of the N-1 check: per feeder head, the failed line
     and the switching sequence that resupplies after its fault.
 
-    The cases read only the structure and the switch states, never cable
-    types, so a search can reuse them for every candidate that differs from
-    another only in cable types.
+    The cases read the structure, the switch kinds and the switch states,
+    never cable types; the remote-control flags only label how an action
+    is actuated.
     """
     state = _state_map(grid, switch_state)
     return tuple(resupply_sequence(grid, feeder.head_line, state)
@@ -570,8 +578,7 @@ def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
 
 
 def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
-                                switch_state: dict[str, bool] | None = None, *,
-                                cases: Sequence[SwitchingSequence] | None = None
+                                switch_state: dict[str, bool] | None = None
                                 ) -> ViolationReport:
     """N-1 check: fail each feeder-head line, resupply, verify the restored
     state under peak load against the widened contingency band.
@@ -579,16 +586,21 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
     Only ``peak_load`` is evaluated — voltage support from generation gets
     no credit in contingency planning. Stations that stay dark are reported
     unless they are exempt (``requires_contingency_supply = False``).
-    ``cases`` are :func:`contingency_cases` of the same topology and switch
-    state; they are computed here when not given.
+    The :func:`contingency_cases` are kept in the entered :class:`PlanMemo`
+    per :attr:`~gridforge.grid_model.Grid.structure_key` and open switches:
+    the failed lines, restored states and unsupplied stations that the
+    check reads of them depend on nothing else.
     """
     peak_load = next((s for s in scenarios if s.name == "peak_load"), None)
     if peak_load is None:
         raise ValueError("contingency check needs a 'peak_load' scenario")
-    if cases is None:
-        cases = contingency_cases(grid, switch_state)
     entries: list[Violation] = []
     with _scope():  # the cases share the blocks a fault leaves unchanged
+        _, _, known, _ = _memo.of(grid)
+        key = _open_switches(grid, switch_state)
+        cases = known.get(key)
+        if cases is None:
+            cases = known[key] = contingency_cases(grid, switch_state)
         for case in cases:
             failed = case.failed_line
             result = run_power_flow(grid, peak_load, case.resulting_state,

@@ -6,9 +6,12 @@ at the end of the run.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from gridforge import fixtures as fx
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -22,6 +25,16 @@ def _no_seed_env(monkeypatch):
 @pytest.fixture()
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture()
+def two_station_area():
+    """The station trade-off area with its first secondary substation made
+    a second switching station: valid, but no concept can plan it."""
+    grid = fx.station_tradeoff_area()
+    first = next(b for b in grid.buses if b.kind == "secondary_substation")
+    return grid.replace(buses=tuple(replace(b, kind="switching_station") if b is first
+                                    else b for b in grid.buses))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

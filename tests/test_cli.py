@@ -223,6 +223,19 @@ def test_compare_runs_all_three_concepts(files, capsys):
     assert comparison["winner"] == "radial"
 
 
+def test_compare_exits_one_on_an_area_with_two_switching_stations(
+        files, capsys, two_station_area):
+    save_grid(two_station_area, files / "two.json")
+    code = main(["compare", str(files / "two.json"),
+                 "--principles", str(files / "tradeoff.json"),
+                 "--out", str(files / "out")])
+    assert code == 1
+    out = capsys.readouterr().out
+    for concept in ("radial", "closed_ring", "switching_station"):
+        assert f"{concept}: no feasible plan" in out
+    assert "winner" not in out
+
+
 def test_compare_refuses_a_faulty_grid(files, capsys):
     code = main(["compare", str(files / "faulty.json"),
                  "--principles", str(files / "tradeoff.json"),

@@ -292,10 +292,15 @@ def test_the_default_timestamp_is_valid_iso8601(mesh_report, tmp_path):
 # determinism knobs
 
 
-def test_parallel_execution_matches_serial(mesh_report, tradeoff_principles):
-    parallel = run_area(fx.mesh_tradeoff_area(), tradeoff_principles,
-                        area="mesh", jobs=2)
-    assert parallel == mesh_report
+@pytest.mark.parametrize("build,area,serial", [
+    (fx.mesh_tradeoff_area, "mesh", "mesh_report"),
+    (fx.station_tradeoff_area, "station_tradeoff", "station_report"),
+], ids=["mesh", "station"])
+def test_parallel_execution_matches_serial(build, area, serial, tradeoff_principles, request):
+    # the station area sends both task families, radial and switching
+    # station, through the pool
+    parallel = run_area(build(), tradeoff_principles, area=area, jobs=2)
+    assert parallel == request.getfixturevalue(serial)
 
 
 def test_environment_seed_overrides_the_configured_seed(
@@ -307,6 +312,19 @@ def test_environment_seed_overrides_the_configured_seed(
                        planner=replace(tradeoff_principles.planner, seed=999))
     assert from_env == run_area(fx.mesh_tradeoff_area(), explicit, area="mesh")
     assert from_env != mesh_report  # a different seed explores differently
+
+
+@pytest.mark.parametrize("concepts", [("radial",), ("radial", "closed_ring", "switching_station")])
+def test_two_switching_stations_make_every_concept_infeasible(
+        two_station_area, tradeoff_principles, concepts):
+    assert validate_grid(two_station_area) == []
+    report = run_area(two_station_area, tradeoff_principles, area="two", concepts=concepts)
+    assert set(report.plans) == set(concepts)
+    for plans in report.plans.values():
+        assert [(p.topology, p.feasible, p.error) for p in plans] == [
+            (k, False, "more than one switching station in the area")
+            for k in range(tradeoff_principles.planner.n_topologies)]
+    assert report.winner is None
 
 
 def test_all_infeasible_concepts_give_no_winner(tradeoff_principles):

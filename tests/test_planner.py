@@ -809,7 +809,7 @@ def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
 
     memoized = plans()
     monkeypatch.setattr(planner, "_search_reports", lambda scenarios: (
-        lambda grid, active: planner._operation_report(grid, scenarios)))
+        lambda grid: planner._operation_report(grid, scenarios)))
     assert plans() == memoized
 
 
@@ -834,9 +834,9 @@ def _two_ties(load_sn: float = 3.0):
 
 
 def test_a_closed_ring_gets_its_own_contingency_cases():
-    # the N-1 cases are keyed by the topology measures: a ring closure
-    # changes which tie the resupply closes, so it must not reuse the
-    # radial topology's cases
+    # the N-1 cases are keyed by the structure and the open switches: a
+    # ring closure changes which tie the resupply closes, so it must not
+    # reuse the radial topology's cases
     radial = _two_ties()
     close = Measure(kind="CloseRing", target="t2@a2")
     ring = apply_measures(radial, (close,))
@@ -846,10 +846,10 @@ def test_a_closed_ring_gets_its_own_contingency_cases():
     assert ring_fault.resulting_state["t2@a2"] and not ring_fault.resulting_state["t1@a2"]
 
     reports = planner._search_reports(SCENARIOS)
-    assert [(v.kind, v.element, v.contingency) for v in reports(radial, ()).entries] == [
+    assert [(v.kind, v.element, v.contingency) for v in reports(radial).entries] == [
         ("overload", "t1", "A1")]
-    assert reports(ring, (close,)) == planner._operation_report(ring, SCENARIOS)
-    assert reports(ring, (close,)).feasible
+    assert reports(ring) == planner._operation_report(ring, SCENARIOS)
+    assert reports(ring).feasible
 
 
 # --------------------------------------------------------------------------

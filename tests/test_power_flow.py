@@ -426,7 +426,16 @@ def test_result_v_alias():
 
 
 # --------------------------------------------------------------------------
-# N-1 cases computed once per topology
+# N-1 cases computed once per structure and open switches
+
+
+def counted_cases(monkeypatch) -> list:
+    """Records one entry per call of ``power_flow.contingency_cases``."""
+    cases = power_flow.contingency_cases
+    calls = []
+    monkeypatch.setattr(power_flow, "contingency_cases",
+                        lambda *args: calls.append(1) or cases(*args))
+    return calls
 
 
 @pytest.mark.parametrize("build,principles", [
@@ -434,9 +443,9 @@ def test_result_v_alias():
     (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
     (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
 ], ids=["example", "station", "mesh"])
-def test_memoized_cases_give_the_same_contingency_report(build, principles):
-    # cable swaps change no switching sequence, so cases keyed by the other
-    # measures must serve every cable variant of a topology
+def test_memoized_cases_give_the_same_contingency_report(build, principles, monkeypatch):
+    # cable swaps change no switching sequence, so inside one memo every
+    # cable variant of a layout shares the layout's cases
     grid = build()
     pr = principles_from_dict(principles())
     pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
@@ -445,18 +454,54 @@ def test_memoized_cases_give_the_same_contingency_report(build, principles):
     rng = random.Random(build.__name__)
     layouts = [(), *(tuple(rng.sample(others, rng.randint(1, min(3, len(others)))))
                      for _ in range(2) if others)]
-    memo = {}
-    draws = 0
+    calls = counted_cases(monkeypatch)
+    memo = PlanMemo()
+    scoped_calls = 0
     for layout in layouts:
         for _ in range(4):
             cables = tuple(m for m in swaps if rng.random() < 0.3)
             candidate = apply_measures(grid, cables + layout)
-            if layout not in memo:
-                memo[layout] = contingency_cases(candidate)
-            assert (check_contingency_operation(candidate, pr.scenarios, cases=memo[layout])
-                    == check_contingency_operation(candidate, pr.scenarios))
-            draws += 1
-    assert len(memo) < draws
+            before = len(calls)
+            with memo:
+                scoped = check_contingency_operation(candidate, pr.scenarios)
+            scoped_calls += len(calls) - before
+            assert scoped == check_contingency_operation(candidate, pr.scenarios)
+    assert scoped_calls == len(set(layouts))
+
+
+def test_contingency_cases_are_keyed_by_structure_and_open_switches(monkeypatch):
+    # a ring closure, a switch-state override and a feeder-head breaker
+    # turned load-break switch each get cases of their own; a grid whose
+    # open switches equal an earlier override's shares that override's
+    grid = fx.example_area()
+    peak = next(s for s in principles_from_dict(fx.example_principles_dict()).scenarios
+                if s.name == "peak_load")
+    tie, head = "b_tie@b3", "a_1@mv"
+    assert not grid.switches_by_id[tie].closed
+    assert grid.switches_by_id[head].kind == "circuit_breaker"
+
+    def with_switch(sid, **change):
+        return grid.replace(switches=tuple(replace(s, **change) if s.id == sid else s
+                                           for s in grid.switches))
+
+    line = grid.lines_by_id["a_2"]
+    other_type = next(t.name for t in grid.line_types if t.name != line.line_type)
+    cable = grid.replace(lines=tuple(replace(l, line_type=other_type) if l.id == line.id
+                                     else l for l in grid.lines))
+    checks = [(grid, None, 1), (cable, None, 0), (grid, {tie: True}, 1),
+              (with_switch(tie, closed=True), None, 0),
+              (with_switch(head, kind="load_break"), None, 1)]
+    calls = counted_cases(monkeypatch)
+    memo = PlanMemo()
+    reports = []
+    for candidate, state, computed in checks:
+        before = len(calls)
+        with memo:
+            reports.append(check_contingency_operation(candidate, (peak,), state))
+        assert len(calls) - before == computed, (state, computed)
+    for (candidate, state, _), report in zip(checks, reports):
+        assert report == check_contingency_operation(candidate, (peak,), state)
+    assert reports[2] != reports[0]
 
 
 def test_every_planning_solve_goes_through_the_module_function(monkeypatch):
@@ -685,7 +730,7 @@ def exact(result):
 
 
 def plan_count(memo):
-    return sum(len(plans) for plans, _ in memo.structures.values())
+    return sum(len(plans) for plans, _, _ in memo.structures.values())
 
 
 @pytest.mark.parametrize("build,principles", [
@@ -889,9 +934,9 @@ def test_contingency_check_shares_unchanged_feeders(monkeypatch):
     calls = []
     monkeypatch.setattr(power_flow, "_newton",
                         lambda *args: calls.append(1) or newton(*args))
-    report = check_contingency_operation(grid, (peak,), cases=cases)
+    report = check_contingency_operation(grid, (peak,))
     assert power_flow._memo is None
     assert 0 < len(calls) < blocks
     calls.clear()
     with PlanMemo():
-        assert check_contingency_operation(grid, (peak,), cases=cases) == report
+        assert check_contingency_operation(grid, (peak,)) == report
