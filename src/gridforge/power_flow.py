@@ -64,9 +64,9 @@ from gridforge.grid_model import Grid, Scenario, apply_scenario
 from gridforge.topology import (
     SwitchingSequence,
     _energized,
+    _resupply,
     _state_map,
     find_feeders,
-    resupply_sequence,
 )
 
 S_BASE_MVA = 1.0
@@ -573,7 +573,9 @@ def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
     is actuated.
     """
     state = _state_map(grid, switch_state)
-    return tuple(resupply_sequence(grid, feeder.head_line, state)
+    pre = _energized(grid, state)
+    stations = {b.id for b in grid.stations()}
+    return tuple(_resupply(grid, grid.lines_by_id[feeder.head_line], state, pre, stations)
                  for feeder in find_feeders(grid, state))
 
 

@@ -104,6 +104,10 @@ def outage_matrix(grid: Grid, params: ReliabilityParams,
     protection and directional indicators), a fault on a line that is part
     of a conducting loop is cleared selectively at its two ends: every
     station keeps its supply over the other side of the ring.
+
+    The pre-fault energized set is searched once per call. Each fault's
+    footprint is searched only from the lines it cuts, and each search
+    stops at the first lit bus (see :mod:`gridforge.topology`).
     """
     state = _state_map(grid, switch_state)
     matrix: dict[str, dict[str, float]] = {}

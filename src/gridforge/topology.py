@@ -15,6 +15,14 @@ That greedy search keeps one energized set and grows it: closing a switch
 can only add the dark region behind its line, so no candidate switch needs
 a search from the sources.
 
+A fault's footprint is searched from the lines it cuts, never by flooding
+the grid again. The post-trip state only opens switches, so a bus that
+loses supply shares its post-trip component with an end of the failed line
+or of a tripped breaker's line. One search from each such end stops at the
+first source or lit bus; one that finds neither has found a dark component.
+The same search from the affected stations, over the switches a remote
+command may close, decides which of them remote switching restores.
+
 All infeeds hang off one virtual root, joined to every source bus by an edge
 that is no line and can never be cut or opened. The second-path check and
 the sectioning-point search both start at that root, so several infeeds need
@@ -119,6 +127,37 @@ def _flood(grid: Grid, state: dict[str, bool], seeds: Iterable[str],
             seen.add(other)
             queue.append(other)
     return seen
+
+
+def _unreached(seeds: Iterable[str], neighbours: Callable[[str], Iterable[str]],
+               sources: frozenset[str]) -> set[str]:
+    """Buses joined to some seed but to no source.
+
+    One BFS per seed not yet classified. A BFS that reaches a source, or a
+    bus an earlier BFS lit, stops and marks what it visited lit; one that
+    uses up its component marks that component dark. Each bus is visited
+    by at most one BFS, so the call visits at most the buses one flood of
+    the whole grid would.
+    """
+    lit: set[str] = set()
+    dark: set[str] = set()
+    for seed in seeds:
+        if seed in lit or seed in dark:
+            continue
+        seen = {seed}
+        queue = deque(seen)
+        reached = seed in sources
+        while queue and not reached:
+            for other in neighbours(queue.popleft()):
+                if other in seen:
+                    continue
+                if other in sources or other in lit:
+                    reached = True
+                    break
+                seen.add(other)
+                queue.append(other)
+        (lit if reached else dark).update(seen)
+    return dark
 
 
 def check_supply(grid: Grid, switch_state: dict[str, bool] | None = None) -> list[TopologyViolation]:
@@ -683,44 +722,66 @@ def _non_remote_tie(state):
     return lambda sw: sw is None or (state[sw.id] and not sw.remote_controlled)
 
 
-def _reach_avoiding(grid: Grid, state: dict[str, bool], failed_id: str,
-                    avoid_buses: set[str], avoid_bodies: set[str],
-                    remote_only: bool) -> frozenset[str]:
-    """Buses reachable from the sources avoiding the fault closure.
+def _conducting_neighbours(grid: Grid, state: dict[str, bool], failed_id: str):
+    """Neighbours of a bus over transformers and conducting lines but
+    ``failed_id``: the graph :func:`_energized` floods."""
+    switch_ids = grid.switch_ids_by_line
+    xfmr = grid.transformer_neighbours
+    lines_at = grid.lines_at_bus
+    closed = state.__getitem__
 
-    With ``remote_only`` open switches may be crossed only if they are remote
-    controlled (the existence check behind the FMEA's t_remote class);
-    otherwise any open switch may be closed (manual reconfiguration).
-    """
+    def neighbours(bus: str) -> Iterable[str]:
+        yield from xfmr.get(bus, ())
+        for line in lines_at.get(bus, ()):
+            if (line.in_service and line.id != failed_id
+                    and all(map(closed, switch_ids.get(line.id, ())))):
+                yield line.to_bus if line.from_bus == bus else line.from_bus
+
+    return neighbours
+
+
+def _remote_neighbours(grid: Grid, state: dict[str, bool],
+                       avoid_buses: set[str], avoid_bodies: set[str]):
+    """Neighbours of a bus outside the fault closure (``avoid_buses``,
+    ``avoid_bodies``, the failed line among them) when every open switch
+    that is remote controlled may be closed: the existence check behind
+    the FMEA's t_remote class."""
+    switch_at = grid.switch_at
+    xfmr = grid.transformer_neighbours
+    lines_at = grid.lines_at_bus
 
     def passable(bus: str, line: Line) -> bool:
-        sw = grid.switch_at.get((bus, line.id))
-        if sw is None or state[sw.id]:
-            return True
-        return sw.remote_controlled if remote_only else True
+        sw = switch_at.get((bus, line.id))
+        return sw is None or state[sw.id] or sw.remote_controlled
 
-    seen: set[str] = set()
-    queue: deque[str] = deque()
-    for b in grid.source_buses:
-        if b in grid.buses_by_id and b not in avoid_buses:
-            seen.add(b)
-            queue.append(b)
-    while queue:
-        bus = queue.popleft()
-        for other in grid.transformer_neighbours.get(bus, ()):
-            if other not in seen and other not in avoid_buses:
-                seen.add(other)
-                queue.append(other)
-        for line in grid.lines_at_bus.get(bus, ()):
-            if not line.in_service or line.id == failed_id or line.id in avoid_bodies:
+    def neighbours(bus: str) -> Iterable[str]:
+        for other in xfmr.get(bus, ()):
+            if other not in avoid_buses:
+                yield other
+        for line in lines_at.get(bus, ()):
+            if not line.in_service or line.id in avoid_bodies:
                 continue
             other = line.to_bus if line.from_bus == bus else line.from_bus
-            if other in seen or other in avoid_buses:
-                continue
-            if passable(bus, line) and passable(other, line):
-                seen.add(other)
-                queue.append(other)
-    return frozenset(seen)
+            if other not in avoid_buses and passable(bus, line) and passable(other, line):
+                yield other
+
+    return neighbours
+
+
+def _darkened(grid: Grid, failed: Line, tripped: Iterable[str],
+              post: dict[str, bool], pre: frozenset[str]) -> set[str]:
+    """Buses of ``pre`` that the fault on ``failed`` and the trip of the
+    breakers ``tripped`` (``post`` is the post-trip state) cut off from
+    every source.
+
+    Only the failed line and the lines of the tripped breakers stop
+    conducting, so a bus that loses supply shares its post-trip component
+    with an end of one of them, and the search starts at those ends.
+    """
+    cut = [failed, *(grid.lines_by_id[grid.switches_by_id[sid].line] for sid in tripped)]
+    seeds = [end for line in cut for end in (line.from_bus, line.to_bus) if end in pre]
+    return _unreached(seeds, _conducting_neighbours(grid, post, failed.id),
+                      grid.source_buses)
 
 
 def _trip(grid: Grid, failed: Line, state: dict[str, bool]):
@@ -754,13 +815,13 @@ def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
         # nothing feeds the fault: no current, no trip, no outage
         return FaultAnalysis(failed.id, (), frozenset(), frozenset())
     tripped, post = _trip(grid, failed, state)
-    after = _energized(grid, post, exclude_lines=frozenset((failed.id,)))
-    affected = frozenset((pre - after) & stations)
+    affected = frozenset(_darkened(grid, failed, tripped, post, pre) & stations)
 
     f_buses, f_bodies, _ = _fault_closure(grid, failed, post, _non_remote_tie(post))
-    reach = _reach_avoiding(grid, post, failed.id, f_buses, f_bodies, remote_only=True)
-    remote = frozenset(affected & reach)
-    return FaultAnalysis(failed.id, tuple(tripped), affected, remote)
+    seeds = affected - f_buses
+    cut_off = _unreached(seeds, _remote_neighbours(grid, post, f_buses, f_bodies),
+                         grid.source_buses)
+    return FaultAnalysis(failed.id, tuple(tripped), affected, seeds - cut_off)
 
 
 def resupply_sequence(grid: Grid, failed_line: str,
@@ -774,10 +835,12 @@ def resupply_sequence(grid: Grid, failed_line: str,
     lowest switch id. A switch is safe to close if the fault zone it leaves
     touches no energized bus.
 
-    The energized set is grown, not searched again: closing one switch can
-    only add the dark region behind its line, found by a search over dark
-    buses from the line's dark end. A fault zone is traced only for a switch
-    that would beat the best candidate so far.
+    The energized set after isolation is the pre-fault set minus what the
+    fault darkens, searched from the lines it cuts. It is then grown, not
+    searched again: closing one switch can only add the dark region behind
+    its line, found by a search over dark buses from the line's dark end. A
+    fault zone is traced only for a switch that would beat the best
+    candidate so far.
 
     Raises:
         ValueError: the line is not energized in the pre-fault state.
@@ -787,10 +850,19 @@ def resupply_sequence(grid: Grid, failed_line: str,
     if failed is None:
         raise ValueError(f"unknown line {failed_line!r}")
     pre = _energized(grid, state)
-    conducting = {l.id for l in _conducting_lines(grid, state)}
-    if failed_line not in conducting or (failed.from_bus not in pre and failed.to_bus not in pre):
+    conducting = failed.in_service and all(
+        state[sid] for sid in grid.switch_ids_by_line.get(failed_line, ()))
+    if not conducting or (failed.from_bus not in pre and failed.to_bus not in pre):
         raise ValueError(f"line {failed_line!r} is not energized in the pre-fault state")
+    return _resupply(grid, failed, state, pre, {b.id for b in grid.stations()})
 
+
+def _resupply(grid: Grid, failed: Line, state: dict[str, bool],
+              pre: frozenset[str], stations: set[str]) -> SwitchingSequence:
+    """:func:`resupply_sequence` of an energized, conducting line given the
+    pre-fault energized buses and the station ids, which are the same for
+    every fault of one N-1 check."""
+    failed_line = failed.id
     actions: list[SwitchAction] = []
     tripped, state = _trip(grid, failed, state)
     for sid in tripped:
@@ -804,7 +876,8 @@ def resupply_sequence(grid: Grid, failed_line: str,
             actions.append(SwitchAction(
                 sw.id, "open", "isolate", "remote" if sw.remote_controlled else "manual"))
 
-    energized = set(_energized(grid, state, excluded))
+    # isolation opens only switches on the failed line, which is excluded
+    energized = set(pre) - _darkened(grid, failed, tripped, state, pre)
     regions: dict[str, frozenset[str]] = {}  # dark bus -> its dark region
     switch_ids = grid.switch_ids_by_line
 
@@ -847,7 +920,7 @@ def resupply_sequence(grid: Grid, failed_line: str,
         if not feeds_fault(sid, added):
             close(sw, added)
 
-    supplied = pre & {b.id for b in grid.stations()}
+    supplied = pre & stations
     isolated = {a.switch for a in actions if a.stage == "isolate"}
 
     while True:

@@ -6,9 +6,11 @@ radial by definition, a chord inside one feeder closes a galvanic ring, and
 a chord between two feeders of the same busbar couples them. The verdicts
 must match that knowledge without looking at the implementation. Energized
 sets are cross-checked against a sparse connected-components solve, the
-second-path checks against dropping every line in turn, and the resupply
-search, which grows its energized sets, against searching them again from
-the sources for every candidate switch.
+second-path checks against dropping every line in turn, the fault
+footprints, which are searched from the lines a fault cuts, against
+connected components of the whole grid before and after the trip, and the
+resupply search, which grows its energized sets, against searching them
+again from the sources for every candidate switch.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 import gridforge.fixtures as fx
 from gridforge.fixtures import CABLE_150, GridBuilder
+from gridforge.power_flow import contingency_cases
 from gridforge.reliability import ReliabilityParams, outage_matrix
 from gridforge.topology import (
     SwitchAction,
@@ -28,6 +31,7 @@ from gridforge.topology import (
     _closed_tie,
     _energized,
     _fault_closure,
+    _non_remote_tie,
     _state_map,
     _trip,
     check_contingency_supply,
@@ -642,6 +646,87 @@ def test_resupply_matches_the_full_recompute_oracle(chunk):
             assert seq.unsupplied == expect.unsupplied, (seed, feeder.head_line)
             faults += 1
     assert faults > 40
+
+
+def remote_reach_oracle(grid, state, failed_line, avoid_buses, avoid_bodies):
+    """Buses tied to a source outside the fault closure when every
+    remote-controlled open switch may be closed, from connected components
+    of the whole grid without the closure's buses and lines."""
+    buses = sorted(b.id for b in grid.buses if b.id not in avoid_buses)
+    index = {b: i for i, b in enumerate(buses)}
+    rows, cols = [], []
+
+    def passable(bus, line):
+        sw = grid.switch_at.get((bus, line.id))
+        return sw is None or state[sw.id] or sw.remote_controlled
+
+    for line in grid.lines:
+        if (line.in_service and line.id != failed_line and line.id not in avoid_bodies
+                and line.from_bus in index and line.to_bus in index
+                and passable(line.from_bus, line) and passable(line.to_bus, line)):
+            rows.extend((index[line.from_bus], index[line.to_bus]))
+            cols.extend((index[line.to_bus], index[line.from_bus]))
+    for t in grid.transformers:
+        if t.hv_bus in index and t.lv_bus in index:
+            rows.extend((index[t.hv_bus], index[t.lv_bus]))
+            cols.extend((index[t.lv_bus], index[t.hv_bus]))
+    n = len(buses)
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    live = {labels[index[b]] for b in grid.source_buses if b in index}
+    return frozenset(b for b in buses if labels[index[b]] in live)
+
+
+def footprint_oracle(grid, failed_line, switch_state):
+    """Affected and remote-resuppliable stations of a fault, each searched
+    over the whole grid: the buses energized before the fault minus those
+    energized after the trip, and the remote reach around the closure."""
+    state = _state_map(grid, switch_state)
+    failed = grid.lines_by_id[failed_line]
+    pre = reachable_oracle(grid, state)
+    if failed.from_bus not in pre and failed.to_bus not in pre:
+        return frozenset(), frozenset()
+    _, post = _trip(grid, failed, state)
+    after = reachable_oracle(grid, post, frozenset((failed_line,)))
+    affected = (pre - after) & {b.id for b in grid.stations()}
+    f_buses, f_bodies, _ = _fault_closure(grid, failed, post, _non_remote_tie(post))
+    reach = remote_reach_oracle(grid, post, failed_line, f_buses, f_bodies)
+    return affected, affected & reach
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_fault_footprints_match_the_whole_grid_oracle(chunk):
+    for seed in range(40 * chunk, 40 * chunk + 40):
+        grid, state = damaged_infeeds(random.Random(seed))
+        for line in grid.lines:
+            if line.in_service:
+                fa = fault_analysis(grid, line.id, state)
+                assert (fa.affected_stations, fa.remote_resuppliable) == \
+                    footprint_oracle(grid, line.id, state), (seed, line.id)
+
+
+def test_the_footprint_oracle_inputs_hold_the_rare_faults():
+    """Seeds 0-399 hold faults that trip no breaker yet darken stations
+    (the failed line alone cuts them off) and faults whose stations are
+    only partly resuppliable by remote switching."""
+    untripped = partial = 0
+    for seed in range(400):
+        grid, state = damaged_infeeds(random.Random(seed))
+        for line in grid.lines:
+            if line.in_service:
+                fa = fault_analysis(grid, line.id, state)
+                untripped += not fa.tripped_breakers and bool(fa.affected_stations)
+                partial += frozenset() < fa.remote_resuppliable < fa.affected_stations
+    assert untripped > 0
+    assert partial > 0
+
+
+def test_contingency_cases_are_the_resupply_sequences_of_the_feeder_heads():
+    for seed in range(100):
+        grid, state = damaged_infeeds(random.Random(seed))
+        assert contingency_cases(grid, state) == tuple(
+            resupply_sequence(grid, f.head_line, state)
+            for f in find_feeders(grid, state)), seed
 
 
 def test_outage_matrix_matches_fault_analysis_row_by_row():
