@@ -78,13 +78,19 @@ def _state_map(grid: Grid, switch_state: dict[str, bool] | None) -> dict[str, bo
     return state
 
 
-def _conducting_lines(grid: Grid, state: dict[str, bool],
-                      exclude: frozenset[str] = frozenset()) -> list[Line]:
+def _conducts(grid: Grid, state: dict[str, bool],
+              exclude: frozenset[str] = frozenset()) -> Callable[[Line], bool]:
+    """The rule for when a line conducts: it is in service, not in
+    ``exclude``, and every switch on it is closed in ``state``."""
     switch_ids = grid.switch_ids_by_line
     closed = state.__getitem__
-    return [line for line in grid.lines
-            if line.in_service and line.id not in exclude
-            and all(map(closed, switch_ids.get(line.id, ())))]
+    return lambda line: (line.in_service and line.id not in exclude
+                         and all(map(closed, switch_ids.get(line.id, ()))))
+
+
+def _conducting_lines(grid: Grid, state: dict[str, bool],
+                      exclude: frozenset[str] = frozenset()) -> list[Line]:
+    return list(filter(_conducts(grid, state, exclude), grid.lines))
 
 
 def energized_buses(grid: Grid, switch_state: dict[str, bool] | None = None,
@@ -106,10 +112,9 @@ def _flood(grid: Grid, state: dict[str, bool], seeds: Iterable[str],
            barrier: frozenset[str] | set[str] = frozenset()) -> set[str]:
     """BFS from ``seeds`` over conducting lines and transformers that never
     enters ``barrier``; a line's switches are read only when it is reached."""
-    switch_ids = grid.switch_ids_by_line
+    conducts = _conducts(grid, state, exclude_lines)
     xfmr = grid.transformer_neighbours
     lines_at = grid.lines_at_bus
-    closed = state.__getitem__
     seen = set(seeds)
     queue = deque(seen)
     while queue:
@@ -120,9 +125,7 @@ def _flood(grid: Grid, state: dict[str, bool], seeds: Iterable[str],
                 queue.append(other)
         for line in lines_at.get(bus, ()):
             other = line.to_bus if line.from_bus == bus else line.from_bus
-            if (other in seen or other in barrier or not line.in_service
-                    or line.id in exclude_lines
-                    or not all(map(closed, switch_ids.get(line.id, ())))):
+            if other in seen or other in barrier or not conducts(line):
                 continue
             seen.add(other)
             queue.append(other)
@@ -722,19 +725,18 @@ def _non_remote_tie(state):
     return lambda sw: sw is None or (state[sw.id] and not sw.remote_controlled)
 
 
-def _conducting_neighbours(grid: Grid, state: dict[str, bool], failed_id: str):
-    """Neighbours of a bus over transformers and conducting lines but
-    ``failed_id``: the graph :func:`_energized` floods."""
-    switch_ids = grid.switch_ids_by_line
+def _conducting_neighbours(grid: Grid, state: dict[str, bool],
+                           exclude: frozenset[str]):
+    """Neighbours of a bus over transformers and conducting lines not in
+    ``exclude``: the graph :func:`_flood` walks."""
+    conducts = _conducts(grid, state, exclude)
     xfmr = grid.transformer_neighbours
     lines_at = grid.lines_at_bus
-    closed = state.__getitem__
 
     def neighbours(bus: str) -> Iterable[str]:
         yield from xfmr.get(bus, ())
         for line in lines_at.get(bus, ()):
-            if (line.in_service and line.id != failed_id
-                    and all(map(closed, switch_ids.get(line.id, ())))):
+            if conducts(line):
                 yield line.to_bus if line.from_bus == bus else line.from_bus
 
     return neighbours
@@ -780,7 +782,7 @@ def _darkened(grid: Grid, failed: Line, tripped: Iterable[str],
     """
     cut = [failed, *(grid.lines_by_id[grid.switches_by_id[sid].line] for sid in tripped)]
     seeds = [end for line in cut for end in (line.from_bus, line.to_bus) if end in pre]
-    return _unreached(seeds, _conducting_neighbours(grid, post, failed.id),
+    return _unreached(seeds, _conducting_neighbours(grid, post, frozenset((failed.id,))),
                       grid.source_buses)
 
 
@@ -850,9 +852,8 @@ def resupply_sequence(grid: Grid, failed_line: str,
     if failed is None:
         raise ValueError(f"unknown line {failed_line!r}")
     pre = _energized(grid, state)
-    conducting = failed.in_service and all(
-        state[sid] for sid in grid.switch_ids_by_line.get(failed_line, ()))
-    if not conducting or (failed.from_bus not in pre and failed.to_bus not in pre):
+    if not _conducts(grid, state)(failed) or (
+            failed.from_bus not in pre and failed.to_bus not in pre):
         raise ValueError(f"line {failed_line!r} is not energized in the pre-fault state")
     return _resupply(grid, failed, state, pre, {b.id for b in grid.stations()})
 

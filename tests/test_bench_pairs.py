@@ -42,6 +42,12 @@ def test_verdicts_follow_the_pair_rule():
     # 8 wins of 10 is no gain, however large the difference
     mixed = [(result(100, 1.0), result(300 if i < 8 else 50, 1.0)) for i in range(10)]
     assert bench_pairs.summarize(METRICS, mixed)[0]["verdict"] == "within bound"
+    # 3 wins of 3, or 1 of 1, is too few pairs to call a gain
+    for n in (1, 3):
+        few = [(result(100 + i, 1.0), result(200 + i, 1.0)) for i in range(n)]
+        rows = bench_pairs.summarize(METRICS, few)
+        assert rows[0]["wins"] == n
+        assert rows[0]["verdict"] == "too few pairs"
 
 
 def test_the_sides_alternate_and_a_failed_operation_sets_the_exit_status(
@@ -63,3 +69,6 @@ def test_the_sides_alternate_and_a_failed_operation_sets_the_exit_status(
     assert calls == [("parent", 4, 20), ("change", 4, 20), ("change", 5, 20),
                      ("parent", 5, 20), ("parent", 6, 20), ("change", 6, 20)]
     assert "wins 0/3" in capsys.readouterr().out
+    # the run length is the benchmark's own, never an option
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seconds", "5"])

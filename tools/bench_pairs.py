@@ -1,21 +1,22 @@
 """Run the benchmark as parent-against-change pairs and summarize each metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
 
 PARENT and CHANGE are two checkouts. For each seed from A to B, one pair
 runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 once in each checkout, one after the other: the parent goes first on the
-first pair, the change on the second, and so on. ``--seconds`` defaults to
-``run_seconds`` of CHANGE's ``BENCHMARK.json``, which also names the
-end-to-end metrics and which way each is better.
+first pair, the change on the second, and so on. S is ``run_seconds`` of
+CHANGE's ``BENCHMARK.json``, which also names the end-to-end metrics and
+which way each is better.
 
 Prints one line per run, then per metric each side's median and quartiles,
 the change's median against the parent's, and the number of pairs the
-change wins (ties count for neither). The verdict reads ``gain`` when the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile spread, ``worse`` when the change's
-median is worse than the parent's by more than the metric's bound, else
-``within bound``. The tool reads only what the benchmark prints. Exit
+change wins (ties count for neither). The verdict reads ``gain`` when
+there are at least ten pairs, the change wins at least nine tenths of them
+and the medians differ by more than the parent's interquartile spread; the
+same result on fewer pairs reads ``too few pairs``. It reads ``worse``
+when the change's median is worse than the parent's by more than the
+metric's bound, else ``within bound``. The tool reads only what the benchmark prints. Exit
 status 1 when a run fails, is not correct or fails operations; 2 on bad
 arguments.
 """
@@ -63,6 +64,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+MIN_PAIRS = 10  # a gain needs at least this many pairs
+
+
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
     """One row per end-to-end metric over the (parent, change) run pairs."""
     rows = []
@@ -75,7 +79,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
         c1, cm, c3 = quartiles(change)
         rel = (cm - pm) / abs(pm) if pm else 0.0
         if 10 * wins >= 9 * len(pairs) and sign * (cm - pm) > p3 - p1:
-            verdict = "gain"
+            verdict = "gain" if len(pairs) >= MIN_PAIRS else "too few pairs"
         elif -sign * rel > metric["bound"]:
             verdict = "worse"
         else:
@@ -92,10 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     pairs: list[tuple[dict, dict]] = []
     ok = True
@@ -115,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"failed={run['failed']}/{run['attempted']} {values}", flush=True)
         pairs.append((runs["parent"], runs["change"]))
 
-    print(f"\n{args.workload}, {len(pairs)} pairs, --seconds {seconds:g}: "
+    print(f"\n{args.workload}, {len(pairs)} pairs of {seconds:g} s runs: "
           "median [q1, q3] per side")
     for row in summarize(spec["end_to_end"], pairs):
         p1, pm, p3 = row["parent"]
