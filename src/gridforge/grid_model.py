@@ -160,6 +160,16 @@ class Grid:
         return {l.id: l for l in self.lines}
 
     @cached_property
+    def bus_positions(self) -> dict[str, int]:
+        """Index of each bus in ``buses``."""
+        return {b.id: i for i, b in enumerate(self.buses)}
+
+    @cached_property
+    def line_positions(self) -> dict[str, int]:
+        """Index of each line in ``lines``."""
+        return {l.id: i for i, l in enumerate(self.lines)}
+
+    @cached_property
     def line_types_by_name(self) -> dict[str, LineType]:
         return {t.name: t for t in self.line_types}
 

@@ -25,7 +25,16 @@ resupply switching sequence per feeder head), and the load flows on the
 restored states. The cases read only the grid structure and the open
 switches, so the check keeps them in the entered :class:`PlanMemo` under
 that key, and candidates that differ only in cable types share them; every
-solve still goes through :func:`run_power_flow`.
+solve still goes through :func:`run_power_flow`. A case differs from the
+normal state only on the failed line and the lines of the switches its
+sequence moved, so its plan is derived from the plan of the normal state
+(:func:`_derive`), not compiled: the blocks those lines touch are cut again
+from their busbars and every other block is reused. The derivation needs
+the energized busbars to be the same in both states. That is exact when
+every transformer busbar is fed from a source through transformers alone
+(:func:`_fixed_slack`, once per structure); otherwise each case is compiled
+in full. On the ``large_checks`` areas of perfbench (seed 7) each case's
+plan holds one block that the base plan, of 18-39 blocks, does not.
 
 :func:`run_power_flow` compiles a solve plan, then solves it. The plan holds
 what cable choices do not change, as indices: per line-coupled
@@ -33,7 +42,8 @@ component its buses and lines, and per block the positions of its buses in
 ``grid.buses`` (sorted by id), its slack and PQ indices, and the position
 and end indices of its lines in ``grid.lines`` order. The solve step reads
 the cable types, computes the admittances, assembles Ybus, runs Newton per
-block and merges the blocks. A :class:`PlanMemo` keeps the plans per grid
+block and merges the block results through grid-wide bus and line
+positions, so a block holds nothing of the component it is part of. A :class:`PlanMemo` keeps the plans per grid
 structure (:attr:`~gridforge.grid_model.Grid.structure_key`), keyed by the
 open switches and the excluded lines, the N-1 cases per structure and open
 switches, and per structure and scenario the
@@ -56,13 +66,14 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from gridforge.grid_model import Grid, Scenario, apply_scenario
+from gridforge.grid_model import Grid, Line, Scenario, apply_scenario
 from gridforge.topology import (
     SwitchingSequence,
+    _conducts,
     _energized,
     _resupply,
     _state_map,
@@ -194,28 +205,31 @@ class _Block(NamedTuple):
     """One feeder or closed ring of a component: the PQ buses joined by
     lines that pass no slack busbar, those lines, and the slack busbars
     they touch (a line between two busbars is a block of its own). Its
-    buses are ``grid.buses[bus_pos]``, sorted by id, and its lines
-    ``grid.lines[key]``, in line order; ``slack``, ``pq`` and ``ends``
-    index into its buses. Index arrays are made only when it is solved."""
+    buses are ``bus_ids``, sorted, at ``grid.buses[bus_pos]``, and its lines
+    ``grid.lines[key]``, in line order; ``slack``, ``pq`` and ``ends`` index
+    into its buses. A block reads nothing of its component, so a derived
+    plan reuses it as it is. Index arrays are made only when it is solved."""
 
+    bus_ids: tuple[str, ...]
     bus_pos: tuple[int, ...]
     slack: tuple[int, ...]
     pq: tuple[int, ...]
     ends: tuple[tuple[int, ...], tuple[int, ...]]  # from-bus and to-bus per line
-    at: np.ndarray  # positions of the PQ buses in the component's bus order
+    pq_pos: np.ndarray  # positions of the PQ buses in grid.buses
     key: tuple[int, ...]  # the line positions, which name the block in its structure
     pick: itemgetter  # this block's entries of a per-line tuple
 
 
 class _Component(NamedTuple):
     """One line-coupled component of a solve plan: its buses
-    (``grid.buses[bus_pos]``, sorted by id) and lines (in ``grid.lines``
-    order), and its blocks in the order of their first line."""
+    (``grid.buses[bus_pos]``, sorted by id), its lines
+    (``grid.lines[line_pos]``, in line order) and its blocks in the order
+    of their first line."""
 
     bus_pos: np.ndarray
     bus_ids: tuple[str, ...]
     line_ids: tuple[str, ...]
-    line_order: tuple[int, ...]  # puts the blocks' loadings, block after block, in line order
+    line_pos: tuple[int, ...]
     blocks: tuple[_Block, ...]
 
 
@@ -240,6 +254,15 @@ class _Table(NamedTuple):
     blocks: dict[tuple, _BlockResult]
 
 
+class _Structure(NamedTuple):
+    """What a :class:`PlanMemo` keeps of one grid structure."""
+
+    plans: dict[tuple, tuple[_Component, ...]]  # by open switches and excluded lines
+    tables: dict[Scenario, _Table]
+    cases: dict[tuple[str, ...], tuple[SwitchingSequence, ...]]  # by open switches
+    fixed_slack: bool  # N-1 case plans are derived from the base plan
+
+
 class PlanMemo:
     """Solve plans, bus tables and block results of one scope.
 
@@ -251,30 +274,30 @@ class PlanMemo:
     structure and scenario, each with the results of the blocks solved in
     that scenario; and the :func:`contingency_cases` of
     :func:`check_contingency_operation` per structure, keyed by the open
-    switches.
+    switches, with whether :func:`_fixed_slack` holds for the structure.
     """
 
     __slots__ = ("structures", "_grid", "_entry", "_outer")
 
     def __init__(self) -> None:
-        self.structures: dict[tuple, tuple[dict, dict, dict]] = {}
+        self.structures: dict[tuple, _Structure] = {}
         self._grid: Grid | None = None
         self._entry: tuple = ()
         self._outer: PlanMemo | None = None
 
-    def of(self, grid: Grid) -> tuple[dict[tuple, tuple[_Component, ...]],
-                                      dict[Scenario, _Table],
-                                      dict[tuple[str, ...], tuple[SwitchingSequence, ...]],
-                                      tuple[tuple[str, ...], tuple[float, ...]]]:
-        """The plans, the bus tables and the N-1 cases of the grid's
-        structure, and the grid's cable type and length per line. A report
-        solves one grid several times, so the last grid's are kept at hand."""
+    def of(self, grid: Grid) -> tuple[_Structure, tuple[tuple[str, ...], tuple[float, ...]]]:
+        """What the memo keeps of the grid's structure, and the grid's
+        cable type and length per line. A report solves one grid several
+        times, so the last grid's are kept at hand."""
         if grid is not self._grid:
             self._grid = grid
+            structure = self.structures.get(grid.structure_key)
+            if structure is None:
+                structure = self.structures[grid.structure_key] = _Structure(
+                    {}, {}, {}, _fixed_slack(grid))
             lines = grid.lines
-            self._entry = (*self.structures.setdefault(grid.structure_key, ({}, {}, {})),
-                           (tuple([l.line_type for l in lines]),
-                            tuple([l.length for l in lines])))
+            self._entry = (structure, (tuple([l.line_type for l in lines]),
+                                       tuple([l.length for l in lines])))
         return self._entry
 
     def __enter__(self) -> "PlanMemo":
@@ -301,94 +324,165 @@ def _open_switches(grid: Grid, switch_state: dict[str, bool] | None) -> tuple[st
     return tuple([s.id for s in grid.switches if not closed(s.id, s.closed)])
 
 
+def _fixed_slack(grid: Grid) -> bool:
+    """Whether every transformer busbar is fed from a source over
+    transformers alone. Transformers always conduct, so then every busbar
+    is energized whatever the switches and excluded lines, and the plan of
+    an N-1 case can be derived from the base plan (:func:`_derive`)."""
+    fed = {b for b in grid.source_buses if b in grid.buses_by_id}
+    queue = list(fed)
+    xfmr = grid.transformer_neighbours
+    while queue:
+        for other in xfmr.get(queue.pop(), ()):
+            if other not in fed:
+                fed.add(other)
+                queue.append(other)
+    return grid.slack_buses <= fed
+
+
+def _block(grid: Grid, key: list[int], slack: Container[str]) -> _Block:
+    """The block of the lines at positions ``key``."""
+    key.sort()
+    lines = [grid.lines[p] for p in key]
+    own = sorted({l.from_bus for l in lines} | {l.to_bus for l in lines})
+    local = {bus: i for i, bus in enumerate(own)}
+    where = grid.bus_positions
+    bus_pos = tuple([where[b] for b in own])
+    pq = tuple([i for i, b in enumerate(own) if b not in slack])
+    return _Block(
+        bus_ids=tuple(own),
+        bus_pos=bus_pos,
+        slack=tuple([i for i, b in enumerate(own) if b in slack]),
+        pq=pq,
+        ends=(tuple([local[l.from_bus] for l in lines]),
+              tuple([local[l.to_bus] for l in lines])),
+        pq_pos=np.array([bus_pos[i] for i in pq], dtype=np.intp),
+        key=tuple(key),
+        pick=itemgetter(*key))
+
+
+def _cut(grid: Grid, bars: Iterable[str], slack: Container[str],
+         conducts: Callable[[Line], bool], taken: set[int]) -> list[_Block]:
+    """The blocks that start at the busbars ``bars``: each conducting line
+    that leaves one of them and is not ``taken`` yet (by line position)
+    starts a block, which floods over its PQ buses and stops at the
+    busbars of ``slack`` it reaches."""
+    lines_at = grid.lines_at_bus
+    where = grid.line_positions
+    blocks = []
+    for bar in bars:
+        for first in lines_at.get(bar, ()):
+            pos = where[first.id]
+            if pos in taken or not conducts(first):
+                continue
+            taken.add(pos)
+            key = [pos]
+            owned: set[str] = set()
+            reached = [first.to_bus if first.from_bus == bar else first.from_bus]
+            while reached:
+                bus = reached.pop()
+                if bus in slack or bus in owned:
+                    continue
+                owned.add(bus)
+                for line in lines_at.get(bus, ()):
+                    pos = where[line.id]
+                    if pos not in taken and conducts(line):
+                        taken.add(pos)
+                        key.append(pos)
+                        reached.append(line.to_bus if line.from_bus == bus else line.from_bus)
+            blocks.append(_block(grid, key, slack))
+    return blocks
+
+
+def _assemble(grid: Grid, bars: Iterable[str], blocks: Iterable[_Block],
+              kept: Iterable[_Component] = ()) -> tuple[_Component, ...]:
+    """The plan of the components ``kept`` and of those ``blocks`` form:
+    blocks that share a busbar are one component, and a busbar of ``bars``
+    that no block touches is one alone. Every block touches a busbar of
+    ``bars``. The components are in the order of their lowest bus id."""
+    at_bar: dict[str, list[_Block]] = {}
+    for block in blocks:
+        for i in block.slack:
+            at_bar.setdefault(block.bus_ids[i], []).append(block)
+    where, lines = grid.bus_positions, grid.lines
+    plan = list(kept)
+    seen: set[str] = set()
+    for root in bars:
+        if root in seen:
+            continue
+        seen.add(root)
+        buses = {root}
+        parts: dict[tuple[int, ...], _Block] = {}
+        stack = [root]
+        while stack:
+            for block in at_bar.get(stack.pop(), ()):
+                if block.key in parts:
+                    continue
+                parts[block.key] = block
+                buses.update(block.bus_ids)
+                for i in block.slack:
+                    bar = block.bus_ids[i]
+                    if bar not in seen:
+                        seen.add(bar)
+                        stack.append(bar)
+        ids = sorted(buses)
+        line_pos = sorted([p for key in parts for p in key])
+        plan.append(_Component(
+            bus_pos=np.array([where[b] for b in ids]),
+            bus_ids=tuple(ids),
+            line_ids=tuple([lines[p].id for p in line_pos]),
+            line_pos=tuple(line_pos),
+            blocks=tuple([parts[key] for key in sorted(parts)])))
+    plan.sort(key=lambda comp: comp.bus_ids[0])
+    return tuple(plan)
+
+
 def _compile(grid: Grid, state: dict[str, bool],
              exclude_lines: frozenset[str]) -> tuple[_Component, ...]:
     """The solve plan of one switch state: every line-coupled component
     that holds an energized transformer busbar, in the order of its lowest
-    bus id, cut into blocks at its busbars. One flood finds both: from the
-    energized busbars over conducting lines, where each line leaving a
-    busbar that no block holds yet starts a block, and the block floods
-    over its PQ buses and stops at the busbars it reaches."""
+    bus id, cut into blocks at its busbars."""
     energized = _energized(grid, state, exclude_lines)
     slack = {t.lv_bus for t in grid.transformers if t.lv_bus in energized}
-    closed = state.__getitem__
-    switch_ids = grid.switch_ids_by_line
-    live = {line.id for line in grid.lines
-            if line.in_service and line.id not in exclude_lines
-            and all(map(closed, switch_ids.get(line.id, ())))}
-    lines_at = grid.lines_at_bus
-    comps: list[tuple[list[str], list[list[int]]]] = []  # buses, and lines per block
-    owner: dict[str, int] = {}  # bus -> number of its component
-    block_of: dict[str, tuple[int, int]] = {}  # line -> (component, block)
-    for root in slack:
-        if root in owner:
+    return _assemble(grid, slack, _cut(grid, slack, slack,
+                                       _conducts(grid, state, exclude_lines), set()))
+
+
+def _derive(grid: Grid, base: tuple[_Component, ...], changed: Iterable[str],
+            state: dict[str, bool], exclude_lines: frozenset[str]
+            ) -> tuple[_Component, ...]:
+    """The plan of ``state`` without ``exclude_lines``, equal to its
+    :func:`_compile`, taken from the plan ``base`` of a state that differs
+    from it only on the lines ``changed``. Holds for a grid whose busbars
+    are energized in every state (:func:`_fixed_slack`).
+
+    A component where no changed line ends is kept as it is. In the others,
+    a block is kept when it holds no changed line and no changed line ends
+    at one of its PQ buses: its lines conduct as before and no other line
+    joins it. The rest of those components is cut again from their
+    busbars, and their blocks are grouped again: a case can join two
+    components or split one."""
+    lines, where, slack = grid.lines_by_id, grid.line_positions, grid.slack_buses
+    positions: set[int] = set()
+    ends: set[str] = set()
+    for line_id in changed:
+        line = lines[line_id]
+        positions.add(where[line_id])
+        ends.update((line.from_bus, line.to_bus))
+    at_pq = ends - slack
+    kept: list[_Component] = []
+    bars: list[str] = []
+    blocks: list[_Block] = []
+    for comp in base:
+        if ends.isdisjoint(comp.bus_ids):
+            kept.append(comp)
             continue
-        k = len(comps)
-        buses: list[str] = []
-        blocks: list[list[int]] = []
-        comps.append((buses, blocks))
-        busbars = [root]
-        while busbars:
-            bar = busbars.pop()
-            if bar in owner:
-                continue
-            owner[bar] = k
-            buses.append(bar)
-            # checked one by one: a block flooded from an earlier line may
-            # come back to this busbar over a later one
-            for first in lines_at.get(bar, ()):
-                if first.id not in live or first.id in block_of:
-                    continue
-                here = block_of[first.id] = (k, len(blocks))
-                blocks.append([])
-                reached = [first.to_bus if first.from_bus == bar else first.from_bus]
-                while reached:
-                    bus = reached.pop()
-                    if bus in slack:
-                        busbars.append(bus)
-                    elif bus not in owner:
-                        owner[bus] = k
-                        buses.append(bus)
-                        for line in lines_at.get(bus, ()):
-                            if line.id in live and line.id not in block_of:
-                                block_of[line.id] = here
-                                reached.append(line.to_bus if line.from_bus == bus
-                                               else line.from_bus)
-
-    for pos, line in enumerate(grid.lines):
-        at = block_of.get(line.id)
-        if at is not None:
-            comps[at[0]][1][at[1]].append(pos)
-    bus_pos = {b.id: i for i, b in enumerate(grid.buses)}
-
-    plan = []
-    for buses, blocks in sorted(comps, key=lambda c: min(c[0])):
-        buses.sort()
-        index = {bus: i for i, bus in enumerate(buses)}
-        blocks.sort()  # by first line position: a block's lines are in line order
-        parts = []
-        for positions in blocks:
-            lines = [grid.lines[p] for p in positions]
-            own = sorted({l.from_bus for l in lines} | {l.to_bus for l in lines})
-            local = {bus: i for i, bus in enumerate(own)}
-            parts.append(_Block(
-                bus_pos=tuple([bus_pos[b] for b in own]),
-                slack=tuple([i for i, b in enumerate(own) if b in slack]),
-                pq=tuple([i for i, b in enumerate(own) if b not in slack]),
-                ends=(tuple([local[l.from_bus] for l in lines]),
-                      tuple([local[l.to_bus] for l in lines])),
-                at=np.array([index[b] for b in own if b not in slack], dtype=int),
-                key=tuple(positions),
-                pick=itemgetter(*positions)))
-        flat = [p for positions in blocks for p in positions]
-        order = sorted(range(len(flat)), key=flat.__getitem__)
-        plan.append(_Component(
-            bus_pos=np.array([bus_pos[b] for b in buses]),
-            bus_ids=tuple(buses),
-            line_ids=tuple([grid.lines[flat[i]].id for i in order]),
-            line_order=tuple(order),
-            blocks=tuple(parts)))
-    return tuple(plan)
+        bars += [bus for bus in comp.bus_ids if bus in slack]
+        blocks += [b for b in comp.blocks
+                   if positions.isdisjoint(b.key) and at_pq.isdisjoint(b.bus_ids)]
+    taken = {p for block in blocks for p in block.key}
+    blocks += _cut(grid, bars, slack, _conducts(grid, state, exclude_lines), taken)
+    return _assemble(grid, bars, blocks, kept)
 
 
 def _bus_table(grid: Grid, scenario: Scenario) -> _Table:
@@ -399,7 +493,7 @@ def _bus_table(grid: Grid, scenario: Scenario) -> _Table:
     sbus = np.array([complex(-p.get(b.id, 0.0), -q.get(b.id, 0.0)) / S_BASE_MVA
                      for b in grid.buses], dtype=complex)
     vm = np.ones(len(grid.buses))
-    pos = {b.id: i for i, b in enumerate(grid.buses)}
+    pos = grid.bus_positions
     for t in grid.transformers:
         if t.lv_bus in pos:
             vm[pos[t.lv_bus]] = inj.setpoints[t.id]
@@ -470,6 +564,11 @@ def _solve(grid: Grid, plan: tuple[_Component, ...], table: _Table,
     p_slack = q_slack = 0.0
     iterations = 0
     converged = True
+    # per bus and line of the grid; blocks write their own, busbars keep
+    # the setpoint and angle 0
+    vm = table.vm.copy()
+    va = np.zeros(len(vm))
+    flows: dict[int, float] = {}
 
     for comp in plan:
         results = []
@@ -484,18 +583,15 @@ def _solve(grid: Grid, plan: tuple[_Component, ...], table: _Table,
             converged = False
             continue
 
-        vm = table.vm[comp.bus_pos]
-        va = np.zeros(len(vm))
-        flows: list[float] = []
         for block, result in zip(comp.blocks, results):
-            vm[block.at] = result.vm
-            va[block.at] = result.va
-            flows += result.loading
+            vm[block.pq_pos] = result.vm
+            va[block.pq_pos] = result.va
+            flows.update(zip(block.key, result.loading))
             p_slack += result.s_slack.real * S_BASE_MVA
             q_slack += result.s_slack.imag * S_BASE_MVA
-        vm_out.update(zip(comp.bus_ids, vm.tolist()))
-        va_out.update(zip(comp.bus_ids, va.tolist()))
-        loading.update(zip(comp.line_ids, [flows[i] for i in comp.line_order]))
+        vm_out.update(zip(comp.bus_ids, vm[comp.bus_pos].tolist()))
+        va_out.update(zip(comp.bus_ids, va[comp.bus_pos].tolist()))
+        loading.update(zip(comp.line_ids, map(flows.__getitem__, comp.line_pos)))
 
     return PfResult(converged=converged, iterations=iterations, vm=vm_out,
                     va=va_out, loading=loading, p_slack_mw=p_slack,
@@ -517,15 +613,23 @@ def run_power_flow(grid: Grid, scenario: Scenario,
     the same either way.
     """
     exclude_lines = frozenset(exclude_lines)
-    plans, tables, _, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
+    structure, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
+    plan = _plan(grid, structure.plans, switch_state, exclude_lines)
+    table = structure.tables.get(scenario)
+    if table is None:
+        table = structure.tables[scenario] = _bus_table(grid, scenario)
+    return _solve(grid, plan, table, cables)
+
+
+def _plan(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
+          switch_state: dict[str, bool] | None,
+          exclude_lines: frozenset[str]) -> tuple[_Component, ...]:
+    """The solve plan of a state from ``plans``, compiled if not there."""
     key = (_open_switches(grid, switch_state), tuple(sorted(exclude_lines)))
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _compile(grid, _state_map(grid, switch_state), exclude_lines)
-    table = tables.get(scenario)
-    if table is None:
-        table = tables[scenario] = _bus_table(grid, scenario)
-    return _solve(grid, plan, table, cables)
+    return plan
 
 
 def _band_violations(grid: Grid, result: PfResult, scenario: Scenario,
@@ -591,18 +695,24 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
     The :func:`contingency_cases` are kept in the entered :class:`PlanMemo`
     per :attr:`~gridforge.grid_model.Grid.structure_key` and open switches:
     the failed lines, restored states and unsupplied stations that the
-    check reads of them depend on nothing else.
+    check reads of them depend on nothing else. When they are computed,
+    the solve plan of each case is derived from the plan of the normal
+    state and put into the memo, where :func:`run_power_flow` finds it,
+    unless a switching could darken a transformer busbar
+    (:func:`_fixed_slack`): then each case's plan is compiled in full.
     """
     peak_load = next((s for s in scenarios if s.name == "peak_load"), None)
     if peak_load is None:
         raise ValueError("contingency check needs a 'peak_load' scenario")
     entries: list[Violation] = []
     with _scope():  # the cases share the blocks a fault leaves unchanged
-        _, _, known, _ = _memo.of(grid)
+        structure, _ = _memo.of(grid)
         key = _open_switches(grid, switch_state)
-        cases = known.get(key)
+        cases = structure.cases.get(key)
         if cases is None:
-            cases = known[key] = contingency_cases(grid, switch_state)
+            cases = structure.cases[key] = contingency_cases(grid, switch_state)
+            if structure.fixed_slack:
+                _derive_case_plans(grid, structure.plans, switch_state, cases)
         for case in cases:
             failed = case.failed_line
             result = run_power_flow(grid, peak_load, case.resulting_state,
@@ -612,3 +722,22 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
                 if grid.buses_by_id[bus_id].requires_contingency_supply:
                     entries.append(Violation("unsupplied", bus_id, 1.0, peak_load.name, failed))
     return ViolationReport(tuple(entries))
+
+
+def _derive_case_plans(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
+                       switch_state: dict[str, bool] | None,
+                       cases: Iterable[SwitchingSequence]) -> None:
+    """Put the solve plan of each N-1 case into ``plans``, derived from the
+    base plan (the switch state of the check, no line excluded). A case
+    changes the failed line and the lines of the switches its sequence
+    leaves in another state than before the fault."""
+    base = _plan(grid, plans, switch_state, frozenset())
+    before = _state_map(grid, switch_state)
+    line_of = grid.switches_by_id
+    for case in cases:
+        after, failed = case.resulting_state, case.failed_line
+        key = (_open_switches(grid, after), (failed,))
+        if key not in plans:
+            changed = [failed, *(line_of[a.switch].line for a in case.actions
+                                 if after[a.switch] != before[a.switch])]
+            plans[key] = _derive(grid, base, changed, after, frozenset((failed,)))

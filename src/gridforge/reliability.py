@@ -274,7 +274,8 @@ def automate_for_reliability(grid: Grid, params: ReliabilityParams,
                and any(s.bus == b.id for s in grid.switches)
                and all(s.remote_controlled for s in grid.switches if s.bus == b.id)}
     for _ in range(len(grid.buses) + 1):
-        violations = check_reliability(current, params, baseline, state)
+        result = fmea(current, params, state)
+        violations = _compare(result, baseline, params)
         if not violations:
             return chosen
         feeders = find_feeders(current, state)
@@ -292,7 +293,6 @@ def automate_for_reliability(grid: Grid, params: ReliabilityParams,
                 target_feeders.append(feeder)
         if any(v.kind == "asidi_increase" for v in violations):
             # no natural feeder: go for the largest outage-energy pool
-            result = fmea(current, params, state)
             scored = sorted(
                 feeders,
                 key=lambda f: (-sum(result.e_out.get(b, 0.0) for b in f.buses), f.head_line))

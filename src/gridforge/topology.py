@@ -675,14 +675,17 @@ class FaultAnalysis:
 
 def _fault_closure(grid: Grid, failed: Line, state: dict[str, bool],
                    tie: Callable[[Switch | None], bool],
-                   stop_at_breakers: bool = False):
+                   stop_at_breakers: bool = False,
+                   lit: Callable[[str], bool] | None = None):
     """Galvanic closure of the fault on ``failed`` over untieable connections.
 
     The faulted line is severed at the fault spot, so the closure starts at
     each endpoint still tied through its own end connection. ``tie`` decides
     whether a (bus, line) connection can conduct into the closure; with
     ``stop_at_breakers`` closed circuit breakers block expansion and are
-    collected as the protection devices that trip.
+    collected as the protection devices that trip. With ``lit``, the search
+    stops at the first bus of the closure that ``lit`` holds for and
+    returns ``None`` in place of the buses.
     """
     buses: set[str] = set()
     bodies: set[str] = {failed.id}
@@ -700,6 +703,8 @@ def _fault_closure(grid: Grid, failed: Line, state: dict[str, bool],
     queue: deque[str] = deque()
     for end in (failed.from_bus, failed.to_bus):
         if connection(end, failed) and end not in buses:
+            if lit is not None and lit(end):
+                return None, bodies, breakers
             buses.add(end)
             queue.append(end)
     while queue:
@@ -712,6 +717,8 @@ def _fault_closure(grid: Grid, failed: Line, state: dict[str, bool],
             bodies.add(line.id)
             other = line.to_bus if line.from_bus == bus else line.from_bus
             if connection(other, line) and other not in buses:
+                if lit is not None and lit(other):
+                    return None, bodies, breakers
                 buses.add(other)
                 queue.append(other)
     return buses, bodies, breakers
@@ -786,14 +793,21 @@ def _darkened(grid: Grid, failed: Line, tripped: Iterable[str],
                       grid.source_buses)
 
 
-def _trip(grid: Grid, failed: Line, state: dict[str, bool]):
-    """Protection trip: open the closed breakers bounding the fault region."""
+def _tripped(grid: Grid, failed: Line, state: dict[str, bool]) -> list[str]:
+    """The closed breakers bounding the fault region, which trip."""
     _, _, breakers = _fault_closure(grid, failed, state, _closed_tie(state),
                                     stop_at_breakers=True)
+    return sorted(breakers)
+
+
+def _trip(grid: Grid, failed: Line, state: dict[str, bool]):
+    """Protection trip: the tripped breakers and a copy of ``state`` with
+    them open."""
+    tripped = _tripped(grid, failed, state)
     post = dict(state)
-    for sid in breakers:
+    for sid in tripped:
         post[sid] = False
-    return sorted(breakers), post
+    return tripped, post
 
 
 def fault_analysis(grid: Grid, failed_line: str,
@@ -812,17 +826,24 @@ def fault_analysis(grid: Grid, failed_line: str,
 def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
                     pre: frozenset[str], stations: set[str]) -> FaultAnalysis:
     """:func:`fault_analysis` given the pre-fault energized buses and the
-    station ids, which are the same for every fault of one FMEA."""
+    station ids, which are the same for every fault of one FMEA. The
+    tripped breakers are opened in ``state`` itself while the footprint is
+    searched, and closed again before it returns."""
     if failed.from_bus not in pre and failed.to_bus not in pre:
         # nothing feeds the fault: no current, no trip, no outage
         return FaultAnalysis(failed.id, (), frozenset(), frozenset())
-    tripped, post = _trip(grid, failed, state)
-    affected = frozenset(_darkened(grid, failed, tripped, post, pre) & stations)
-
-    f_buses, f_bodies, _ = _fault_closure(grid, failed, post, _non_remote_tie(post))
-    seeds = affected - f_buses
-    cut_off = _unreached(seeds, _remote_neighbours(grid, post, f_buses, f_bodies),
-                         grid.source_buses)
+    tripped = _tripped(grid, failed, state)
+    for sid in tripped:
+        state[sid] = False
+    try:
+        affected = frozenset(_darkened(grid, failed, tripped, state, pre) & stations)
+        f_buses, f_bodies, _ = _fault_closure(grid, failed, state, _non_remote_tie(state))
+        seeds = affected - f_buses
+        cut_off = _unreached(seeds, _remote_neighbours(grid, state, f_buses, f_bodies),
+                             grid.source_buses)
+    finally:
+        for sid in tripped:
+            state[sid] = True
     return FaultAnalysis(failed.id, tuple(tripped), affected, seeds - cut_off)
 
 
@@ -842,7 +863,10 @@ def resupply_sequence(grid: Grid, failed_line: str,
     searched again: closing one switch can only add the dark region behind
     its line, found by a search over dark buses from the line's dark end. A
     fault zone is traced only for a switch that would beat the best
-    candidate so far.
+    candidate so far, and the trace stops at the first bus that is
+    energized or that the switch would light: re-closing a breaker on the
+    failed line is refused at the line's end, without tracing the whole
+    component behind it.
 
     Raises:
         ValueError: the line is not energized in the pre-fault state.
@@ -902,10 +926,11 @@ def _resupply(grid: Grid, failed: Line, state: dict[str, bool],
     def feeds_fault(sid: str, added: frozenset[str]) -> bool:
         state[sid] = True
         try:
-            zone, _, _ = _fault_closure(grid, failed, state, _closed_tie(state))
+            zone, _, _ = _fault_closure(grid, failed, state, _closed_tie(state),
+                                        lit=lambda bus: bus in energized or bus in added)
         finally:
             state[sid] = False
-        return not (zone.isdisjoint(energized) and zone.isdisjoint(added))
+        return zone is None
 
     def close(sw: Switch, added: frozenset[str]) -> None:
         state[sw.id] = True

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -730,7 +731,7 @@ def exact(result):
 
 
 def plan_count(memo):
-    return sum(len(plans) for plans, _, _ in memo.structures.values())
+    return sum(len(structure.plans) for structure in memo.structures.values())
 
 
 @pytest.mark.parametrize("build,principles", [
@@ -940,3 +941,244 @@ def test_contingency_check_shares_unchanged_feeders(monkeypatch):
     calls.clear()
     with PlanMemo():
         assert check_contingency_operation(grid, (peak,)) == report
+
+
+# --------------------------------------------------------------------------
+# N-1 case plans derived from the base plan
+#
+# The contingency check compiles the plan of the normal state and derives
+# each case's plan from it. A derived plan must equal a full compile of the
+# case's state in every field. Four hand-built grids hold the situations a
+# derivation must get right: a resupply tie between feeders of two
+# substations, a busbar whose only feeder fails, a tie that lights a dark
+# region, and a transformer busbar fed over an MV line, where the set of
+# energized busbars changes with the switches and every case is compiled.
+# A fifth joins two busbars by a line, a block without PQ buses.
+
+
+def plan_fields(grid, plan):
+    """Every field of a solve plan as plain values: an index array as its
+    dtype and values, a block's itemgetter as what it picks of the line
+    positions."""
+    positions = range(len(grid.lines))
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tolist()
+        if isinstance(value, itemgetter):
+            return value(positions)
+        if hasattr(value, "_fields"):
+            return {name: plain(getattr(value, name)) for name in value._fields}
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value
+
+    return plain(plan)
+
+
+def compiled(grid, state, excluded=frozenset()):
+    return power_flow._compile(grid, power_flow._state_map(grid, state), excluded)
+
+
+def case_plans(grid, monkeypatch):
+    """Per N-1 case of the normal state: the case, the plan the contingency
+    check left in its memo and a full compile of the case. The check
+    compiles the base plan alone, or each case where busbars can go dark."""
+    compile_ = power_flow._compile
+    compiles = []
+    monkeypatch.setattr(power_flow, "_compile",
+                        lambda *args: compiles.append(args) or compile_(*args))
+    memo = PlanMemo()
+    with memo:
+        check_contingency_operation(grid, (PEAK_LOAD,))
+    structure = memo.structures[grid.structure_key]
+    (cases,) = structure.cases.values()
+    assert len(compiles) == (1 if structure.fixed_slack else len(cases))
+    monkeypatch.setattr(power_flow, "_compile", compile_)
+    return [(case, structure.plans[(power_flow._open_switches(grid, case.resulting_state),
+                                    (case.failed_line,))],
+             compiled(grid, case.resulting_state, frozenset((case.failed_line,))))
+            for case in cases]
+
+
+def two_substations_tie():
+    """Feeders a (two stations) and b off m1, feeder c off m2, and an open
+    tie between the far ends of a and c: a fault on a's head is resupplied
+    from m2."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.infeed("h2", "m2", 6000.0, 0.0)
+    for bus, x, y in (("a1", 1000.0, 500.0), ("a2", 2500.0, 500.0), ("b1", 1000.0, -500.0),
+                      ("c1", 5000.0, 500.0), ("c2", 3500.0, 500.0)):
+        b.bus(bus, "secondary_substation", x, y)
+        b.load(bus, 0.3)
+    b.line("la1", "m1", "a1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("la2", "a1", "a2", 1.5, CABLE_150)
+    b.line("lb1", "m1", "b1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("lc1", "m2", "c1", 1.1, CABLE_150, breaker_at=("m2",))
+    b.line("lc2", "c1", "c2", 1.5, CABLE_150)
+    b.line("tie", "a2", "c2", 1.0, CABLE_150, open_at="a2")
+    return b.build()
+
+
+def lone_busbar_after_fault():
+    """m2 feeds one station over one line, tied open to m1's feeder: a
+    fault on that line leaves m2 with no line at all."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.infeed("h2", "m2", 4000.0, 0.0)
+    b.bus("a1", "secondary_substation", 1000.0, 0.0)
+    b.bus("d1", "secondary_substation", 3000.0, 0.0)
+    b.load("a1", 0.3)
+    b.load("d1", 0.3)
+    b.line("la1", "m1", "a1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("ld1", "m2", "d1", 1.1, CABLE_150, breaker_at=("m2",))
+    b.line("tie", "a1", "d1", 2.0, CABLE_150, open_at="d1")
+    return b.build()
+
+
+def dark_station_beside_a_ring():
+    """An open ring of feeders a and b off m1, and a station z1 that no
+    line feeds in the normal state: its line to a2 is open at z1."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    for bus, x, y in (("a1", 1000.0, 500.0), ("a2", 2000.0, 500.0), ("b1", 1000.0, -500.0),
+                      ("b2", 2000.0, -500.0), ("z1", 3000.0, 500.0)):
+        b.bus(bus, "secondary_substation", x, y)
+        b.load(bus, 0.3)
+    b.line("la1", "m1", "a1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("la2", "a1", "a2", 1.0, CABLE_150)
+    b.line("lb1", "m1", "b1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("lb2", "b1", "b2", 1.0, CABLE_150)
+    b.line("tie", "a2", "b2", 1.0, CABLE_150, open_at="a2")
+    b.line("lz", "a2", "z1", 1.0, CABLE_150, open_at="z1")
+    return b.build()
+
+
+def coupled_busbars():
+    """Two substations joined by a closed line between their busbars, a
+    block of its own and a feeder of its own, and one feeder each."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.infeed("h2", "m2", 4000.0, 0.0)
+    b.bus("a1", "secondary_substation", 1000.0, 500.0)
+    b.bus("c1", "secondary_substation", 3000.0, 500.0)
+    b.load("a1", 0.3)
+    b.load("c1", 0.3)
+    b.line("la1", "m1", "a1", 1.1, CABLE_150, breaker_at=("m1",))
+    b.line("lc1", "m2", "c1", 1.1, CABLE_150, breaker_at=("m2",))
+    b.line("tie", "a1", "c1", 2.0, CABLE_150, open_at="c1")
+    b.line("lk", "m1", "m2", 4.0, CABLE_150, breaker_at=("m1", "m2"))
+    return b.build()
+
+
+def busbar_fed_over_a_line():
+    """Transformer x_m2 has its HV side on the MV bus x, which m1 feeds
+    over line lx, so m2 is dark after a fault on lx. ``validate_grid``
+    flags the unsourced HV side; the power flow takes the grid all the
+    same."""
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.bus("x", "secondary_substation", 2000.0, 0.0)
+    b.bus("m2", "primary_substation", 2100.0, 0.0)
+    b.bus("c1", "secondary_substation", 3000.0, 0.0)
+    b.load("x", 0.3)
+    b.load("c1", 0.3)
+    b.line("lx", "m1", "x", 2.0, CABLE_150, breaker_at=("m1",))
+    b.line("lc", "m2", "c1", 1.0, CABLE_150, breaker_at=("m2",))
+    grid = b.build()
+    return grid.replace(transformers=grid.transformers + (
+        Transformer("x_m2", "x", "m2", 10.0, dict(fx.SETPOINTS)),))
+
+
+HAND_BUILT = [two_substations_tie, lone_busbar_after_fault, dark_station_beside_a_ring,
+              coupled_busbars]
+
+
+@pytest.mark.parametrize("build", [
+    fx.example_area, fx.resupply_demo, fx.double_feeder_grid, fx.station_ring_demo,
+    fx.station_tradeoff_area, fx.mesh_tradeoff_area, *HAND_BUILT, busbar_fed_over_a_line,
+], ids=lambda build: build.__name__)
+def test_case_plans_equal_full_compiles(build, monkeypatch):
+    grid = build()
+    plans = case_plans(grid, monkeypatch)
+    assert plans
+    for case, plan, full in plans:
+        assert plan_fields(grid, plan) == plan_fields(grid, full), case.failed_line
+
+
+@pytest.mark.parametrize("build", HAND_BUILT, ids=lambda build: build.__name__)
+def test_plans_derive_for_any_switch_flip_or_line_outage(build):
+    # beyond the N-1 cases: every single switch flipped from the normal
+    # state, and every single line excluded
+    grid = build()
+    state = power_flow._state_map(grid, None)
+    base = compiled(grid, state)
+    for sw in grid.switches:
+        flipped = {**state, sw.id: not state[sw.id]}
+        derived = power_flow._derive(grid, base, [sw.line], flipped, frozenset())
+        assert plan_fields(grid, derived) == plan_fields(grid, compiled(grid, flipped)), sw.id
+    for line in grid.lines:
+        excluded = frozenset((line.id,))
+        derived = power_flow._derive(grid, base, [line.id], state, excluded)
+        assert plan_fields(grid, derived) == plan_fields(grid, compiled(grid, state, excluded))
+
+
+def test_a_tie_between_substations_moves_and_merges_components(monkeypatch):
+    grid = two_substations_tie()
+    plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
+    assert [c.bus_ids for c in plans["la1"]] == [("a1", "a2", "c1", "c2", "m2"), ("b1", "m1")]
+    # closed in the normal state, the tie joins the two substations
+    state = power_flow._state_map(grid, None)
+    closed = {**state, "tie@a2": True}
+    merged = power_flow._derive(grid, compiled(grid, state), ["tie"], closed, frozenset())
+    assert [c.bus_ids for c in merged] == [("a1", "a2", "b1", "c1", "c2", "m1", "m2")]
+
+
+def test_a_busbar_whose_only_feeder_fails_stands_alone(monkeypatch):
+    grid = lone_busbar_after_fault()
+    plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
+    lone = plans["ld1"][1]
+    assert (lone.bus_ids, lone.blocks) == (("m2",), ())
+    assert plans["ld1"][0].bus_ids == ("a1", "d1", "m1")
+
+
+def test_a_tie_lights_a_dark_region(monkeypatch):
+    grid = dark_station_beside_a_ring()
+    state = power_flow._state_map(grid, None)
+    base = compiled(grid, state)
+    assert "z1" not in base[0].bus_ids
+    plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
+    (comp,) = plans["la1"]
+    assert [block.bus_ids for block in comp.blocks] == [("a1", "a2", "b1", "b2", "m1")]
+    lit = {**state, "lz@z1": True}
+    (comp,) = power_flow._derive(grid, base, ["lz"], lit, frozenset())
+    assert "z1" in comp.bus_ids
+
+
+def test_a_busbar_fed_over_a_line_takes_the_full_compile(monkeypatch):
+    grid = busbar_fed_over_a_line()
+    assert not power_flow._fixed_slack(grid)
+    monkeypatch.setattr(power_flow, "_derive", None)  # never called
+    plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
+    assert [c.bus_ids for c in plans["lx"]] == [("m1",)]
+    # a derivation would keep m2 as a busbar that no source feeds
+    state = power_flow._state_map(grid, None)
+    monkeypatch.undo()
+    kept = power_flow._derive(grid, compiled(grid, state), ["lx"], state, frozenset(("lx",)))
+    assert [c.bus_ids for c in kept] == [("c1", "m2"), ("m1",)]
+
+
+def test_a_contingency_check_floods_the_grid_once(monkeypatch):
+    # the whole-grid energized flood runs for the base plan, not per case
+    grid = fx.example_area()
+    cases = contingency_cases(grid)
+    monkeypatch.setattr(power_flow, "contingency_cases", lambda *args: cases)
+    energized = power_flow._energized
+    floods = []
+    monkeypatch.setattr(power_flow, "_energized",
+                        lambda *args: floods.append(args) or energized(*args))
+    report = check_contingency_operation(grid, (PEAK_LOAD,))
+    assert len(cases) > 2 and len(floods) == 1
+    monkeypatch.undo()
+    assert report == check_contingency_operation(grid, (PEAK_LOAD,))

@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import gridforge.fixtures as fx
+from gridforge import reliability
 from gridforge.fixtures import CABLE_150, GridBuilder
 from gridforge.reliability import (
     FmeaResult,
@@ -354,6 +355,18 @@ def test_automation_loop_repairs_the_ring_pair():
     assert check_reliability(grid, PARAMS, baseline) == []
     assert result.asidi <= baseline.asidi + 1e-9
     assert max(result.e_out.values()) <= PARAMS.e_out_max
+
+
+def test_automation_loop_runs_one_fmea_per_round(monkeypatch):
+    # a round with an ASIDI violation ranks the feeders on the FMEA that
+    # found the violation, not on a second one
+    baseline = fmea(fx.ring_pair_grid(1.6), PARAMS)
+    grid = fx.ring_pair_grid(1.9)
+    assert any(v.kind == "asidi_increase" for v in check_reliability(grid, PARAMS, baseline))
+    calls = []
+    monkeypatch.setattr(reliability, "fmea", lambda *args: calls.append(1) or fmea(*args))
+    chosen = automate_for_reliability(grid, PARAMS, baseline)
+    assert len(calls) == len(chosen) + 1
 
 
 def test_automation_loop_returns_empty_when_already_compliant():

@@ -22,6 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import gridforge.fixtures as fx
+from gridforge import topology
 from gridforge.fixtures import CABLE_150, GridBuilder
 from gridforge.power_flow import contingency_cases
 from gridforge.reliability import ReliabilityParams, outage_matrix
@@ -646,6 +647,34 @@ def test_resupply_matches_the_full_recompute_oracle(chunk):
             assert seq.unsupplied == expect.unsupplied, (seed, feeder.head_line)
             faults += 1
     assert faults > 40
+
+
+@pytest.mark.parametrize("failed_line, recloses", [
+    ("l1", False), ("l2", True), ("l3", True), ("l4", False)])
+def test_resupply_demo_matches_the_oracle_at_both_early_stops(failed_line, recloses,
+                                                               monkeypatch):
+    # a fault on a head line trips the breaker on that very line: the trace
+    # for its re-close stops at the busbar, the first lit bus, and the
+    # breaker stays open; after a mid-feeder fault the trace meets no lit
+    # bus and the breaker is re-closed
+    grid = fx.resupply_demo()
+    closure = topology._fault_closure
+    traces = []
+
+    def traced(*args, **kwargs):
+        zone = closure(*args, **kwargs)
+        if kwargs.get("lit") is not None:
+            traces.append(zone[0])
+        return zone
+
+    monkeypatch.setattr(topology, "_fault_closure", traced)
+    seq = resupply_sequence(grid, failed_line)
+    expect = resupply_oracle(grid, failed_line, None)
+    assert (seq.actions, seq.resulting_state, seq.unsupplied) == \
+        (expect.actions, expect.resulting_state, expect.unsupplied)
+    (breaker,) = [a.switch for a in seq.actions if a.stage == "trip"]
+    assert ((breaker, "close") in {(a.switch, a.action) for a in seq.actions}) == recloses
+    assert (traces[0] is None) != recloses
 
 
 def remote_reach_oracle(grid, state, failed_line, avoid_buses, avoid_bodies):
