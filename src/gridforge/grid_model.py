@@ -211,13 +211,6 @@ class Grid:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
-    def injections_at_bus(self) -> dict[str, tuple[Injection, ...]]:
-        out: dict[str, list[Injection]] = {}
-        for inj in self.injections:
-            out.setdefault(inj.bus, []).append(inj)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def source_buses(self) -> frozenset[str]:
         return frozenset(s.bus for s in self.external_sources)
 
@@ -261,6 +254,15 @@ class GridFault:
 
     def __str__(self) -> str:
         return f"{self.element}: {self.rule}: {self.message}"
+
+
+def hv_side_sourced(grid: Grid, transformer: Transformer) -> bool:
+    """Whether an external source sits on the transformer's HV bus, and that
+    bus is a bus of the grid. The power flow holds every transformer's MV
+    busbar at its setpoint as fed from that source, so it refuses a grid
+    with a transformer where this fails, and :func:`validate_grid` reports
+    one whose HV bus exists as ``unsourced_hv_side``."""
+    return transformer.hv_bus in grid.source_buses and transformer.hv_bus in grid.buses_by_id
 
 
 def validate_grid(grid: Grid) -> list[GridFault]:
@@ -330,7 +332,6 @@ def validate_grid(grid: Grid) -> list[GridFault]:
             if kind not in ("primary_substation", "switching_station"):
                 fault(s.id, "breaker_location", "circuit breakers only at primary substations or switching stations")
 
-    source_buses = grid.source_buses
     for t in grid.transformers:
         for end in (t.hv_bus, t.lv_bus):
             if end not in bus_ids:
@@ -340,7 +341,7 @@ def validate_grid(grid: Grid) -> list[GridFault]:
         missing = [n for n in SCENARIO_NAMES if n not in t.setpoint_by_scenario]
         if missing:
             fault(t.id, "missing_setpoint", f"no setpoint for scenario(s) {', '.join(missing)}")
-        if t.hv_bus in bus_ids and t.hv_bus not in source_buses:
+        if t.hv_bus in bus_ids and not hv_side_sourced(grid, t):
             fault(t.id, "unsourced_hv_side", f"no external source at HV bus {t.hv_bus!r}")
 
     for inj in grid.injections:

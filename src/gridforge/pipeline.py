@@ -222,7 +222,8 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
 
     Raises:
         ValueError: unknown concept, empty cable catalog, catalog naming
-            unknown line types, or a grid without any load.
+            unknown line types, a grid without any load, or a transformer
+            without an external source at its HV bus (from the power flow).
     """
     for concept in concepts:
         if concept not in CONCEPTS:

@@ -29,12 +29,17 @@ solve still goes through :func:`run_power_flow`. A case differs from the
 normal state only on the failed line and the lines of the switches its
 sequence moved, so its plan is derived from the plan of the normal state
 (:func:`_derive`), not compiled: the blocks those lines touch are cut again
-from their busbars and every other block is reused. The derivation needs
-the energized busbars to be the same in both states. That is exact when
-every transformer busbar is fed from a source through transformers alone
-(:func:`_fixed_slack`, once per structure); otherwise each case is compiled
-in full. On the ``large_checks`` areas of perfbench (seed 7) each case's
-plan holds one block that the base plan, of 18-39 blocks, does not.
+from their busbars and every other block is reused.
+
+The power flow takes only grids where an external source sits on every
+transformer's HV bus (:func:`~gridforge.grid_model.hv_side_sourced`, the
+rule behind ``validate_grid``'s ``unsourced_hv_side``), checked once per
+structure, and raises ``ValueError`` on any other. Transformers always
+conduct, so every transformer busbar is then energized whatever the
+switches and excluded lines: every busbar is a slack bus of every plan, a
+compile floods nothing, and every N-1 case's plan is derived. On the
+``large_checks`` areas of perfbench (seed 7) each case's plan holds one
+block that the base plan, of 18-39 blocks, does not.
 
 :func:`run_power_flow` compiles a solve plan, then solves it. The plan holds
 what cable choices do not change, as indices: per line-coupled
@@ -70,7 +75,7 @@ from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from gridforge.grid_model import Grid, Line, Scenario, apply_scenario
+from gridforge.grid_model import Grid, Line, Scenario, apply_scenario, hv_side_sourced
 from gridforge.topology import (
     SwitchingSequence,
     _conducts,
@@ -260,7 +265,6 @@ class _Structure(NamedTuple):
     plans: dict[tuple, tuple[_Component, ...]]  # by open switches and excluded lines
     tables: dict[Scenario, _Table]
     cases: dict[tuple[str, ...], tuple[SwitchingSequence, ...]]  # by open switches
-    fixed_slack: bool  # N-1 case plans are derived from the base plan
 
 
 class PlanMemo:
@@ -274,7 +278,8 @@ class PlanMemo:
     structure and scenario, each with the results of the blocks solved in
     that scenario; and the :func:`contingency_cases` of
     :func:`check_contingency_operation` per structure, keyed by the open
-    switches, with whether :func:`_fixed_slack` holds for the structure.
+    switches. A structure is taken in only when every transformer's HV bus
+    holds an external source.
     """
 
     __slots__ = ("structures", "_grid", "_entry", "_outer")
@@ -288,14 +293,22 @@ class PlanMemo:
     def of(self, grid: Grid) -> tuple[_Structure, tuple[tuple[str, ...], tuple[float, ...]]]:
         """What the memo keeps of the grid's structure, and the grid's
         cable type and length per line. A report solves one grid several
-        times, so the last grid's are kept at hand."""
+        times, so the last grid's are kept at hand.
+
+        Raises:
+            ValueError: a transformer of a new structure has no external
+                source at its HV bus.
+        """
         if grid is not self._grid:
-            self._grid = grid
             structure = self.structures.get(grid.structure_key)
             if structure is None:
-                structure = self.structures[grid.structure_key] = _Structure(
-                    {}, {}, {}, _fixed_slack(grid))
+                for t in grid.transformers:
+                    if not hv_side_sourced(grid, t):
+                        raise ValueError(f"transformer {t.id!r} has no external source "
+                                         f"at its HV bus {t.hv_bus!r}")
+                structure = self.structures[grid.structure_key] = _Structure({}, {}, {})
             lines = grid.lines
+            self._grid = grid
             self._entry = (structure, (tuple([l.line_type for l in lines]),
                                        tuple([l.length for l in lines])))
         return self._entry
@@ -322,22 +335,6 @@ def _open_switches(grid: Grid, switch_state: dict[str, bool] | None) -> tuple[st
     """The open switches in grid order: one order for every grid of a structure."""
     closed = (switch_state or {}).get
     return tuple([s.id for s in grid.switches if not closed(s.id, s.closed)])
-
-
-def _fixed_slack(grid: Grid) -> bool:
-    """Whether every transformer busbar is fed from a source over
-    transformers alone. Transformers always conduct, so then every busbar
-    is energized whatever the switches and excluded lines, and the plan of
-    an N-1 case can be derived from the base plan (:func:`_derive`)."""
-    fed = {b for b in grid.source_buses if b in grid.buses_by_id}
-    queue = list(fed)
-    xfmr = grid.transformer_neighbours
-    while queue:
-        for other in xfmr.get(queue.pop(), ()):
-            if other not in fed:
-                fed.add(other)
-                queue.append(other)
-    return grid.slack_buses <= fed
 
 
 def _block(grid: Grid, key: list[int], slack: Container[str]) -> _Block:
@@ -440,10 +437,10 @@ def _assemble(grid: Grid, bars: Iterable[str], blocks: Iterable[_Block],
 def _compile(grid: Grid, state: dict[str, bool],
              exclude_lines: frozenset[str]) -> tuple[_Component, ...]:
     """The solve plan of one switch state: every line-coupled component
-    that holds an energized transformer busbar, in the order of its lowest
-    bus id, cut into blocks at its busbars."""
-    energized = _energized(grid, state, exclude_lines)
-    slack = {t.lv_bus for t in grid.transformers if t.lv_bus in energized}
+    that holds a transformer busbar, in the order of its lowest bus id, cut
+    into blocks at its busbars. Every busbar is energized, fed from the
+    source at its transformer's HV side, so no flood is needed."""
+    slack = grid.slack_buses
     return _assemble(grid, slack, _cut(grid, slack, slack,
                                        _conducts(grid, state, exclude_lines), set()))
 
@@ -453,8 +450,8 @@ def _derive(grid: Grid, base: tuple[_Component, ...], changed: Iterable[str],
             ) -> tuple[_Component, ...]:
     """The plan of ``state`` without ``exclude_lines``, equal to its
     :func:`_compile`, taken from the plan ``base`` of a state that differs
-    from it only on the lines ``changed``. Holds for a grid whose busbars
-    are energized in every state (:func:`_fixed_slack`).
+    from it only on the lines ``changed``. Holds because every busbar is
+    energized in every state, so both states cut at the same busbars.
 
     A component where no changed line ends is kept as it is. In the others,
     a block is kept when it holds no changed line and no changed line ends
@@ -611,6 +608,10 @@ def run_power_flow(grid: Grid, scenario: Scenario,
     The solve plan and the block results are taken from the entered
     :class:`PlanMemo`, or from a memo of this call alone; the result is
     the same either way.
+
+    Raises:
+        ValueError: a transformer has no external source at its HV bus
+            (``validate_grid`` reports it as ``unsourced_hv_side``).
     """
     exclude_lines = frozenset(exclude_lines)
     structure, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
@@ -655,7 +656,11 @@ def _band_violations(grid: Grid, result: PfResult, scenario: Scenario,
 
 def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
                            switch_state: dict[str, bool] | None = None) -> ViolationReport:
-    """Voltage band and loading limits for every scenario, normal state."""
+    """Voltage band and loading limits for every scenario, normal state.
+
+    Raises:
+        ValueError: a transformer has no external source at its HV bus.
+    """
     entries: list[Violation] = []
     with _scope():  # the scenarios share the plan
         for scenario in scenarios:
@@ -697,9 +702,11 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
     the failed lines, restored states and unsupplied stations that the
     check reads of them depend on nothing else. When they are computed,
     the solve plan of each case is derived from the plan of the normal
-    state and put into the memo, where :func:`run_power_flow` finds it,
-    unless a switching could darken a transformer busbar
-    (:func:`_fixed_slack`): then each case's plan is compiled in full.
+    state and put into the memo, where :func:`run_power_flow` finds it.
+
+    Raises:
+        ValueError: no ``peak_load`` scenario, or a transformer has no
+            external source at its HV bus.
     """
     peak_load = next((s for s in scenarios if s.name == "peak_load"), None)
     if peak_load is None:
@@ -711,8 +718,7 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
         cases = structure.cases.get(key)
         if cases is None:
             cases = structure.cases[key] = contingency_cases(grid, switch_state)
-            if structure.fixed_slack:
-                _derive_case_plans(grid, structure.plans, switch_state, cases)
+            _derive_case_plans(grid, structure.plans, switch_state, cases)
         for case in cases:
             failed = case.failed_line
             result = run_power_flow(grid, peak_load, case.resulting_state,

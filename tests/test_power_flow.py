@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import gridforge.fixtures as fx
-from gridforge import power_flow
+from gridforge import power_flow, topology
+from gridforge.cli import main
 from gridforge.fixtures import CABLE_150, CABLE_300, OVERHEAD_50, GridBuilder
-from gridforge.grid_model import Scenario, Transformer, apply_scenario, validate_grid
+from gridforge.grid_model import Scenario, Transformer, apply_scenario, save_grid, validate_grid
 from gridforge.power_flow import (
     MAX_ITERATIONS,
     S_BASE_MVA,
@@ -983,7 +984,7 @@ def compiled(grid, state, excluded=frozenset()):
 def case_plans(grid, monkeypatch):
     """Per N-1 case of the normal state: the case, the plan the contingency
     check left in its memo and a full compile of the case. The check
-    compiles the base plan alone, or each case where busbars can go dark."""
+    compiles the base plan alone and derives every case's plan from it."""
     compile_ = power_flow._compile
     compiles = []
     monkeypatch.setattr(power_flow, "_compile",
@@ -993,7 +994,7 @@ def case_plans(grid, monkeypatch):
         check_contingency_operation(grid, (PEAK_LOAD,))
     structure = memo.structures[grid.structure_key]
     (cases,) = structure.cases.values()
-    assert len(compiles) == (1 if structure.fixed_slack else len(cases))
+    assert len(compiles) == 1
     monkeypatch.setattr(power_flow, "_compile", compile_)
     return [(case, structure.plans[(power_flow._open_switches(grid, case.resulting_state),
                                     (case.failed_line,))],
@@ -1074,9 +1075,9 @@ def coupled_busbars():
 
 def busbar_fed_over_a_line():
     """Transformer x_m2 has its HV side on the MV bus x, which m1 feeds
-    over line lx, so m2 is dark after a fault on lx. ``validate_grid``
-    flags the unsourced HV side; the power flow takes the grid all the
-    same."""
+    over line lx, so m2 would be dark after a fault on lx. No source sits
+    on x: ``validate_grid`` flags the HV side and the power flow refuses
+    the grid."""
     b = GridBuilder(CABLE_150)
     b.infeed("h1", "m1", 0.0, 0.0)
     b.bus("x", "secondary_substation", 2000.0, 0.0)
@@ -1097,7 +1098,7 @@ HAND_BUILT = [two_substations_tie, lone_busbar_after_fault, dark_station_beside_
 
 @pytest.mark.parametrize("build", [
     fx.example_area, fx.resupply_demo, fx.double_feeder_grid, fx.station_ring_demo,
-    fx.station_tradeoff_area, fx.mesh_tradeoff_area, *HAND_BUILT, busbar_fed_over_a_line,
+    fx.station_tradeoff_area, fx.mesh_tradeoff_area, *HAND_BUILT,
 ], ids=lambda build: build.__name__)
 def test_case_plans_equal_full_compiles(build, monkeypatch):
     grid = build()
@@ -1156,29 +1157,42 @@ def test_a_tie_lights_a_dark_region(monkeypatch):
     assert "z1" in comp.bus_ids
 
 
-def test_a_busbar_fed_over_a_line_takes_the_full_compile(monkeypatch):
+@pytest.mark.parametrize("check", [
+    lambda grid: run_power_flow(grid, PEAK_LOAD),
+    lambda grid: check_normal_operation(grid, (PEAK_LOAD,)),
+    lambda grid: check_contingency_operation(grid, (PEAK_LOAD,)),
+], ids=["run_power_flow", "check_normal_operation", "check_contingency_operation"])
+def test_a_transformer_without_a_source_is_refused(check):
     grid = busbar_fed_over_a_line()
-    assert not power_flow._fixed_slack(grid)
-    monkeypatch.setattr(power_flow, "_derive", None)  # never called
-    plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
-    assert [c.bus_ids for c in plans["lx"]] == [("m1",)]
-    # a derivation would keep m2 as a busbar that no source feeds
-    state = power_flow._state_map(grid, None)
-    monkeypatch.undo()
-    kept = power_flow._derive(grid, compiled(grid, state), ["lx"], state, frozenset(("lx",)))
-    assert [c.bus_ids for c in kept] == [("c1", "m2"), ("m1",)]
+    with pytest.raises(ValueError, match="transformer 'x_m2' has no external source"):
+        check(grid)
+    with PlanMemo() as memo:  # a refused structure is not kept, so it fails again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'x_m2'"):
+                check(grid)
+    assert memo.structures == {}
+    assert [(f.element, f.rule) for f in validate_grid(grid)
+            if f.rule == "unsourced_hv_side"] == [("x_m2", "unsourced_hv_side")]
 
 
-def test_a_contingency_check_floods_the_grid_once(monkeypatch):
-    # the whole-grid energized flood runs for the base plan, not per case
+def test_pf_on_a_transformer_without_a_source_exits_2(tmp_path, capsys):
+    save_grid(busbar_fed_over_a_line(), tmp_path / "grid.json")
+    assert main(["pf", str(tmp_path / "grid.json")]) == 2
+    assert "transformer 'x_m2' has no external source" in capsys.readouterr().err
+
+
+def test_a_contingency_checks_plans_flood_nothing(monkeypatch):
+    # every busbar is fed from its transformer's source, so neither the
+    # base plan nor a case plan searches for the energized buses
     grid = fx.example_area()
     cases = contingency_cases(grid)
     monkeypatch.setattr(power_flow, "contingency_cases", lambda *args: cases)
-    energized = power_flow._energized
     floods = []
-    monkeypatch.setattr(power_flow, "_energized",
-                        lambda *args: floods.append(args) or energized(*args))
+    for module, name in ((power_flow, "_energized"), (topology, "_flood")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, original=original:
+                            floods.append(args) or original(*args))
     report = check_contingency_operation(grid, (PEAK_LOAD,))
-    assert len(cases) > 2 and len(floods) == 1
+    assert len(cases) > 2 and floods == []
     monkeypatch.undo()
     assert report == check_contingency_operation(grid, (PEAK_LOAD,))

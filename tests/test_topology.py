@@ -382,6 +382,94 @@ def test_feeders_of_the_open_ring():
     assert feeders["f6"].lines == ("f4", "f5", "f6")
 
 
+def feeder_claims_oracle(grid):
+    """(root, head line, lines) per feeder of the stored switch state,
+    without the package's searches. The busbars are ordered by hops from
+    the sources (a BFS over an adjacency dict of its own), ties by id. A
+    feeder is a block of conducting lines joined through buses that are no
+    busbar; the first busbar in that order that the block touches claims
+    it, from its lowest line id there."""
+    busbar_kinds = ("primary_substation", "switching_station")
+    closed = {s.id: s.closed for s in grid.switches}
+    conducting = [l for l in grid.lines if l.in_service and all(
+        closed[s.id] for s in grid.switches if s.line == l.id)]
+    adj = {}
+    for u, v in [(l.from_bus, l.to_bus) for l in conducting] + [
+            (t.hv_bus, t.lv_bus) for t in grid.transformers]:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    hops = {b: 0 for b in grid.source_buses}
+    queue = sorted(hops)
+    for bus in queue:  # grows while it is read: a FIFO queue
+        for other in adj.get(bus, ()):
+            if other not in hops:
+                hops[other] = hops[bus] + 1
+                queue.append(other)
+    busbars = sorted((b.id for b in grid.buses if b.kind in busbar_kinds and b.id in hops),
+                     key=lambda bus: (hops[bus], bus))
+    rank = {bus: i for i, bus in enumerate(busbars)}
+
+    lines = [l for l in conducting if l.from_bus in hops]
+    block = list(range(len(lines)))
+
+    def find(i):
+        while block[i] != i:
+            i = block[i]
+        return i
+
+    first_at = {}
+    for i, line in enumerate(lines):
+        for end in (line.from_bus, line.to_bus):
+            if end not in rank:
+                block[find(i)] = find(first_at.setdefault(end, i))
+    members = {}
+    for i, line in enumerate(lines):
+        members.setdefault(find(i), []).append(line)
+    claims = []
+    for part in members.values():
+        at, head = min((rank[end], l.id) for l in part
+                       for end in (l.from_bus, l.to_bus) if end in rank)
+        claims.append((at, head, tuple(sorted(l.id for l in part))))
+    return [(busbars[at], head, lines) for at, head, lines in sorted(claims)]
+
+
+def test_feeders_are_claimed_in_hop_order_then_by_id():
+    # m2 and m1 are both one hop from a source, and the closed run between
+    # them goes to m1 on its id although m2 comes first in the grid; the
+    # switching station k1, three hops out, sorts before both by id, but
+    # the run from m1 that ends at it belongs to m1's feeder
+    b = GridBuilder(CABLE_150)
+    b.infeed("h2", "m2", 4000.0, 0.0)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    b.bus("k1", "switching_station", 0.0, 3000.0)
+    for bus, x, y in (("a1", 2000.0, 0.0), ("b1", 0.0, 1500.0), ("c1", 0.0, 4500.0)):
+        b.bus(bus, "secondary_substation", x, y)
+        b.load(bus, 0.3)
+    b.line("l2", "a1", "m2", 2.0, CABLE_150)
+    b.line("l1", "m1", "a1", 2.0, CABLE_150)
+    b.line("l4", "b1", "k1", 1.5, CABLE_150)
+    b.line("l3", "m1", "b1", 1.5, CABLE_150)
+    b.line("l5", "k1", "c1", 1.5, CABLE_150)
+    grid = b.build()
+    feeders = find_feeders(grid)
+    assert [(f.root, f.head_line, f.buses, f.lines) for f in feeders] == [
+        ("m1", "l1", ("a1",), ("l1", "l2")),
+        ("m1", "l3", ("b1",), ("l3", "l4")),
+        ("k1", "l5", ("c1",), ("l5",)),
+    ]
+    assert [(f.root, f.head_line, f.lines) for f in feeders] == feeder_claims_oracle(grid)
+
+
+@pytest.mark.parametrize("build", [
+    fx.example_area, fx.station_ring_demo, fx.station_tradeoff_area, fx.double_feeder_grid,
+], ids=lambda build: build.__name__)
+def test_feeders_match_the_hop_order_oracle(build):
+    grid = build()
+    feeders = find_feeders(grid)
+    assert len(feeders) > 1
+    assert [(f.root, f.head_line, f.lines) for f in feeders] == feeder_claims_oracle(grid)
+
+
 def test_feeder_bays_counts_primary_bays_only():
     assert feeder_bays(fx.example_area()) == 7
     assert feeder_bays(fx.open_ring_demo()) == 2
