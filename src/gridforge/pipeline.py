@@ -43,6 +43,8 @@ from gridforge.planner import (
     phase4_mesh,
 )
 from gridforge.power_flow import (
+    PlanMemo,
+    _scope,
     check_contingency_operation,
     check_normal_operation,
 )
@@ -109,31 +111,36 @@ def _run_task(task) -> dict[str, ConceptPlan]:
     plan derived from it when the family asks for one; the unit of work
     of the ``--jobs`` pool. A family is the concept, the seed offset of its
     searches, its bookkeeping measures, whether it meshes, the dismantled
-    grid, the trail candidates, the principles and the baseline FMEA."""
+    grid, the trail candidates, the principles and the baseline FMEA.
+
+    The task runs in the entered :class:`~gridforge.power_flow.PlanMemo`,
+    so its searches share block results with the tasks before it: in
+    :func:`run_area`'s memo when serial or in a forked pool worker, else
+    in a memo of the task's own."""
     k, (concept, seed_offset, bookkeeping, mesh, dismantled, trails,
         principles, baseline) = task
     params = principles.planner
     seed = params.seed + seed_offset
     base = seed + 104729 * (k + 1)  # phase 2 seeds base + 1, phase 4 base + 3
-    try:
-        topo = phase1_topologies(
-            dismantled, trails, replace(params, n_topologies=1, seed=seed + k))[0]
-        reinf = phase2_reinforce(topo.grid, principles.scenarios,
-                                 principles.cost_model, params, seed=base + 1)
-        auto = phase3_automate(reinf.grid, baseline, principles.reliability,
-                               principles.cost_model)
-    except (PlannerError, ReliabilityError) as exc:
-        return {c: ConceptPlan(c, k, feasible=False, error=str(exc))
-                for c in ((concept, "closed_ring") if mesh else (concept,))}
+    with _scope():
+        try:
+            topo = phase1_topologies(
+                dismantled, trails, replace(params, n_topologies=1, seed=seed + k))[0]
+            reinf = phase2_reinforce(topo.grid, principles.scenarios,
+                                     principles.cost_model, params, seed=base + 1)
+            auto = phase3_automate(reinf.grid, baseline, principles.reliability,
+                                   principles.cost_model)
+        except (PlannerError, ReliabilityError) as exc:
+            return {c: ConceptPlan(c, k, feasible=False, error=str(exc))
+                    for c in ((concept, "closed_ring") if mesh else (concept,))}
 
-    measures = topo.measures + reinf.measures + auto.measures + bookkeeping
-    out = {concept: ConceptPlan(
-        concept, k, feasible=True, grid=auto.grid, measures=measures,
-        cost=plan_cost(auto.grid, measures, principles.cost_model),
-        fmea=fmea(auto.grid, principles.reliability))}
-    if mesh:
-        out["closed_ring"] = _mesh_plan(k, reinf, auto.measures, topo.measures,
-                                        bookkeeping, principles, base + 3)
+        measures = topo.measures + reinf.measures + auto.measures + bookkeeping
+        out = {concept: ConceptPlan(
+            concept, k, feasible=True, grid=auto.grid, measures=measures,
+            cost=plan_cost(auto.grid, measures, principles.cost_model), fmea=auto.fmea)}
+        if mesh:
+            out["closed_ring"] = _mesh_plan(k, reinf, auto.measures, topo.measures,
+                                            bookkeeping, principles, base + 3)
     return out
 
 
@@ -275,18 +282,19 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
                dismantled, trails, principles, baseline)
         tasks += [(k, job) for k in range(params.n_topologies)]
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    with PlanMemo():  # the tasks' searches share block results
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_run_task, tasks))
+        else:
+            results = [_run_task(t) for t in tasks]
 
     for result in results:  # in task order, so each concept's in topology order
         for concept, plan in result.items():
             if concept in plans:
                 plans[concept].append(plan)
 
-    for concept in concepts:
+    for concept in concepts:  # outside the memo: the re-validation shares nothing
         _select_reference(plans[concept], principles, baseline)
     return compare(area, plans)
 

@@ -48,8 +48,8 @@ from gridforge.power_flow import (
 from gridforge.reliability import (
     FmeaResult,
     ReliabilityParams,
+    _automate,
     apply_automation,
-    automate_for_reliability,
 )
 from gridforge.topology import (
     _state_map,
@@ -507,6 +507,7 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
 class StagePlan:
     grid: Grid
     measures: tuple[Measure, ...]
+    fmea: FmeaResult | None = None  # of grid, where the stage computed it (phase 3)
 
 
 def _radialized_state(grid: Grid) -> dict[str, bool]:
@@ -618,8 +619,12 @@ def _search_reports(scenarios: Sequence[Scenario]) -> Callable[[Grid], Violation
     change only lines and switches, so those are its key. The reports share
     the search's :class:`~gridforge.power_flow.PlanMemo`, so each switch
     state of a topology is compiled once and its N-1 cases are computed
-    once. The memos live as long as the returned function, and the plans
-    are seen only while a report is computed.
+    once. The reports, plans and N-1 cases live as long as the returned
+    function, and the plans are seen only while a report is computed. The
+    memo is made in the entered one, if any (``pipeline.run_area``'s), and
+    shares its block results, which are keyed by the lines' ids, ends,
+    cable types and lengths: a feeder that an earlier search or task solved
+    is not solved again.
     """
     reports: dict[tuple, ViolationReport] = {}
     memo = PlanMemo()
@@ -777,15 +782,17 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
 def phase3_automate(grid: Grid, baseline: FmeaResult,
                     reliability: ReliabilityParams,
                     cost_model: CostModel) -> StagePlan:
-    """Automate load-centre stations until outage limits hold again."""
-    stations = automate_for_reliability(grid, reliability, baseline)
+    """Automate load-centre stations until outage limits hold again. The
+    plan carries the FMEA of the automated grid that the last round of the
+    automation loop computed."""
+    stations, result = _automate(grid, reliability, baseline)
     for bus in stations:
         grid = apply_automation(grid, bus)
     measures = tuple(
         Measure(kind="AutomateStation", target=bus,
                 cost_per_year=cost_model.communication_link)
         for bus in stations)
-    return StagePlan(grid=grid, measures=measures)
+    return StagePlan(grid=grid, measures=measures, fmea=result)
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,14 @@ def automate_for_reliability(grid: Grid, params: ReliabilityParams,
         ReliabilityError: every automatable station is exhausted while
             constraints are still violated.
     """
+    return _automate(grid, params, baseline, switch_state)[0]
+
+
+def _automate(grid: Grid, params: ReliabilityParams, baseline: FmeaResult,
+              switch_state: dict[str, bool] | None = None
+              ) -> tuple[list[str], FmeaResult]:
+    """:func:`automate_for_reliability`, and the FMEA of the grid with the
+    chosen stations automated, which its last round computed."""
     state = _state_map(grid, switch_state)
     chosen: list[str] = []
     current = grid
@@ -277,7 +285,7 @@ def automate_for_reliability(grid: Grid, params: ReliabilityParams,
         result = fmea(current, params, state)
         violations = _compare(result, baseline, params)
         if not violations:
-            return chosen
+            return chosen, result
         feeders = find_feeders(current, state)
         by_station = {}
         for feeder in feeders:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gridforge import fixtures as fx
+from gridforge import pipeline, power_flow
 from gridforge.economics import plan_cost
 from gridforge.grid_model import grid_from_dict, load_grid, validate_grid
 from gridforge.pipeline import (
@@ -300,6 +301,7 @@ def test_parallel_execution_matches_serial(build, area, serial, tradeoff_princip
     # the station area sends both task families, radial and switching
     # station, through the pool
     parallel = run_area(build(), tradeoff_principles, area=area, jobs=2)
+    assert power_flow._memo is None
     assert parallel == request.getfixturevalue(serial)
 
 
@@ -333,6 +335,59 @@ def test_all_infeasible_concepts_give_no_winner(tradeoff_principles):
     assert report.winner is None
     assert report.references == {"switching_station": None}
     assert report.deltas == {"switching_station": {}}
+
+
+# --------------------------------------------------------------------------
+# work shared within one run_area call
+
+
+def counted(monkeypatch, module, name) -> list:
+    """Records the arguments of every call of ``module.name``."""
+    original = getattr(module, name)
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                        calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+def test_run_area_solves_each_distinct_feeder_once(monkeypatch, data_dir):
+    # block results are keyed by their lines' ids, ends, cable types and
+    # lengths and live for the run_area call, so a feeder that an earlier
+    # candidate, search or task solved is not solved again
+    blocks = counted(monkeypatch, power_flow, "_solve_block")
+    solves = counted(monkeypatch, power_flow, "run_power_flow")
+    run_area(load_grid(data_dir / "example_area.json"),
+             load_principles(data_dir / "principles.json"), area="example")
+    assert (len(blocks), len(solves)) == (1_616, 12_490)
+    assert power_flow._memo is None
+
+
+def test_run_area_leaves_no_memo_entered_when_it_raises(tradeoff_principles):
+    # a second transformer whose HV bus holds no source: the searches'
+    # power flow refuses the grid inside run_area's memo
+    grid = fx.station_tradeoff_area()
+    hv, mv = grid.buses_by_id["hv"], grid.buses_by_id["mv"]
+    (transformer,) = grid.transformers
+    grid = grid.replace(
+        buses=grid.buses + (replace(hv, id="x"), replace(mv, id="xm")),
+        transformers=(transformer, replace(transformer, id="x_xm", hv_bus="x", lv_bus="xm")))
+    with pytest.raises(ValueError, match="transformer 'x_xm' has no external source"):
+        run_area(grid, tradeoff_principles, area="x")
+    assert power_flow._memo is None
+
+
+def test_planning_tasks_reuse_the_fmea_of_phase_3(monkeypatch, tradeoff_principles):
+    # the radial plans carry the FMEA of the automation loop's last round,
+    # so run_area computes only the baseline's; each equals a fresh FMEA
+    calls = counted(monkeypatch, pipeline, "fmea")
+    report = run_area(fx.mesh_tradeoff_area(), tradeoff_principles, area="mesh",
+                      concepts=("radial",))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    feasible = [p for p in report.plans["radial"] if p.feasible]
+    assert feasible
+    for plan in feasible:
+        assert plan.fmea == fmea(plan.grid, tradeoff_principles.reliability)
 
 
 # --------------------------------------------------------------------------

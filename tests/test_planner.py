@@ -869,6 +869,16 @@ def test_phase3_wraps_the_automation_loop_into_measures():
     assert all(s.remote_controlled for s in plan.grid.switches
                if s.bus in automated)
     assert check_reliability(plan.grid, reliability, baseline) == []
+    # the loop's last round computed the FMEA of the automated grid
+    assert plan.fmea == fmea(plan.grid, reliability)
+
+
+def test_phase3_on_a_compliant_grid_keeps_the_grid_and_its_fmea():
+    reliability = ReliabilityParams()
+    grid = fx.ring_pair_grid(1.6)
+    baseline = fmea(grid, reliability)
+    plan = phase3_automate(grid, baseline, reliability, CostModel())
+    assert (plan.grid, plan.measures, plan.fmea) == (grid, (), baseline)
 
 
 # --------------------------------------------------------------------------

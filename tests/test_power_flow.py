@@ -945,6 +945,130 @@ def test_contingency_check_shares_unchanged_feeders(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# block results keyed by what they are computed from
+#
+# A block result is keyed by the id, ends, cable type and length of each of
+# its lines, and kept in a bus table shared by every structure with the same
+# buses, transformers, sources, injections and line types. A memo made
+# inside an entered one shares its tables; a memo made with none entered
+# shares them with no other.
+
+
+def newtons(monkeypatch) -> list:
+    """Records one entry per Newton solve."""
+    newton = power_flow._newton
+    calls = []
+    monkeypatch.setattr(power_flow, "_newton", lambda *args: calls.append(1) or newton(*args))
+    return calls
+
+
+def block_count(grid):
+    return sum(len(c.blocks) for c in compiled(grid, None))
+
+
+def tables_of(memo, grid):
+    return memo.structures[grid.structure_key].tables
+
+
+def test_grids_that_differ_in_one_injection_share_no_block_result(monkeypatch):
+    grid = fx.example_area()
+    first = grid.injections[0]
+    other = grid.replace(injections=(replace(first, sn=first.sn * 1.5), *grid.injections[1:]))
+    calls = newtons(monkeypatch)
+    with PlanMemo() as outer:
+        run_power_flow(grid, PEAK_LOAD)
+        with PlanMemo() as inner:
+            calls.clear()
+            scoped = run_power_flow(other, PEAK_LOAD)
+    assert len(calls) == block_count(other) > 2  # every feeder solved again
+    assert tables_of(inner, other) is not tables_of(outer, grid)
+    assert exact(scoped) == exact(run_power_flow(other, PEAK_LOAD))
+
+
+def test_a_line_id_reused_with_other_ends_shares_no_block_result(monkeypatch):
+    # line c sits at the same position, with the same cable and length, in
+    # both grids but ends at another station; position, type and length
+    # alone would hand the second grid the first one's result
+    def grid_with(end):
+        b = GridBuilder(CABLE_150)
+        b.infeed("h1", "m1", 0.0, 0.0)
+        for bus, load in (("a", 0.2), ("z", 0.9)):
+            b.bus(bus, "secondary_substation", 2000.0, 0.0)
+            b.load(bus, load)
+        b.line("c", "m1", end, 2.0, CABLE_150, breaker_at=("m1",))
+        return b.build()
+
+    to_a, to_z = grid_with("a"), grid_with("z")
+    calls = newtons(monkeypatch)
+    with PlanMemo() as outer:
+        run_power_flow(to_a, PEAK_LOAD)
+        with PlanMemo() as inner:
+            calls.clear()
+            scoped = run_power_flow(to_z, PEAK_LOAD)
+    assert tables_of(inner, to_z) is tables_of(outer, to_a)  # shared inputs
+    assert len(calls) == 1
+    assert set(scoped.vm) == {"m1", "z"}
+    assert exact(scoped) == exact(reference_power_flow(to_z, PEAK_LOAD))
+
+
+def test_a_memo_made_with_none_entered_shares_no_tables(monkeypatch):
+    grid = fx.example_area()
+    calls = newtons(monkeypatch)
+    first, second = PlanMemo(), PlanMemo()
+    with first:
+        run_power_flow(grid, PEAK_LOAD)
+        inner = PlanMemo()
+    calls.clear()
+    with second:
+        run_power_flow(grid, PEAK_LOAD)
+    assert len(calls) == block_count(grid)
+    assert tables_of(second, grid) is not tables_of(first, grid)
+    calls.clear()
+    with inner:  # made inside the first memo, so it shares its tables
+        run_power_flow(grid, PEAK_LOAD)
+    assert calls == [] and tables_of(inner, grid) is tables_of(first, grid)
+
+
+@pytest.mark.parametrize("build,principles", [
+    (fx.example_area, fx.example_principles_dict),
+    (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
+    (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
+], ids=["example", "station", "mesh"])
+def test_a_chain_of_structures_in_one_memo_solves_exactly(build, principles, monkeypatch):
+    # AddParallel and ReplaceLine measures applied one after another, each
+    # grid checked in a memo of its own inside one outer memo, as the
+    # searches of one run_area call: normal and N-1 solves equal fresh
+    # memos and the reference to the last bit, and fewer Newtons run
+    grid = build()
+    pr = principles_from_dict(principles())
+    peak = next(s for s in pr.scenarios if s.name == "peak_load")
+    pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
+    rng = random.Random(build.__name__)
+    chain = rng.sample(pool, min(6, len(pool)))
+    assert {m.kind for m in chain} == {"AddParallel", "ReplaceLine"}
+    candidates = [apply_measures(grid, tuple(chain[:n])) for n in range(len(chain) + 1)]
+    inputs = []
+    for candidate in candidates:
+        steps = [(s, None, frozenset()) for s in pr.scenarios]
+        for case in contingency_cases(candidate):
+            steps.append((peak, case.resulting_state, frozenset((case.failed_line,))))
+        inputs.append((candidate, steps))
+    calls = newtons(monkeypatch)
+    scoped = []
+    with PlanMemo():
+        for candidate, steps in inputs:
+            with PlanMemo():
+                scoped.append([exact(run_power_flow(candidate, *step)) for step in steps])
+    shared = len(calls)
+    calls.clear()
+    for (candidate, steps), results in zip(inputs, scoped):
+        for step, result in zip(steps, results):
+            assert result == exact(run_power_flow(candidate, *step))
+            assert result == exact(reference_power_flow(candidate, *step))
+    assert shared < len(calls)
+
+
+# --------------------------------------------------------------------------
 # N-1 case plans derived from the base plan
 #
 # The contingency check compiles the plan of the normal state and derives
@@ -1179,6 +1303,34 @@ def test_pf_on_a_transformer_without_a_source_exits_2(tmp_path, capsys):
     save_grid(busbar_fed_over_a_line(), tmp_path / "grid.json")
     assert main(["pf", str(tmp_path / "grid.json")]) == 2
     assert "transformer 'x_m2' has no external source" in capsys.readouterr().err
+
+
+def ghost_lv_bus():
+    """The two-bus grid with its transformer's LV bus renamed to a bus that
+    the grid does not hold."""
+    grid = fx.two_bus_grid()
+    (transformer,) = grid.transformers
+    return grid.replace(transformers=(replace(transformer, lv_bus="ghost"),))
+
+
+@pytest.mark.parametrize("check", [
+    lambda grid: run_power_flow(grid, PEAK_LOAD),
+    lambda grid: check_normal_operation(grid, (PEAK_LOAD,)),
+    lambda grid: check_contingency_operation(grid, (PEAK_LOAD,)),
+], ids=["run_power_flow", "check_normal_operation", "check_contingency_operation"])
+def test_a_transformer_with_a_missing_lv_bus_is_refused(check):
+    grid = ghost_lv_bus()
+    with PlanMemo() as memo:
+        with pytest.raises(ValueError, match="transformer 'hv_mv' has an LV bus 'ghost'"):
+            check(grid)
+    assert memo.structures == {}
+    assert ("hv_mv", "dangling_bus") in [(f.element, f.rule) for f in validate_grid(grid)]
+
+
+def test_pf_on_a_transformer_with_a_missing_lv_bus_exits_2(tmp_path, capsys):
+    save_grid(ghost_lv_bus(), tmp_path / "grid.json")
+    assert main(["pf", str(tmp_path / "grid.json")]) == 2
+    assert "transformer 'hv_mv' has an LV bus 'ghost'" in capsys.readouterr().err
 
 
 def test_a_contingency_checks_plans_flood_nothing(monkeypatch):
