@@ -114,9 +114,9 @@ def _run_task(task) -> dict[str, ConceptPlan]:
     grid, the trail candidates, the principles and the baseline FMEA.
 
     The task runs in the entered :class:`~gridforge.power_flow.PlanMemo`,
-    so its searches share block results with the tasks before it: in
-    :func:`run_area`'s memo when serial or in a forked pool worker, else
-    in a memo of the task's own."""
+    so its searches share block results and reports with the tasks before
+    it: in :func:`run_area`'s memo when serial or in a forked pool worker,
+    else in a memo of the task's own."""
     k, (concept, seed_offset, bookkeeping, mesh, dismantled, trails,
         principles, baseline) = task
     params = principles.planner
@@ -282,7 +282,7 @@ def run_area(grid: Grid, principles: PlanningPrinciples, *, area: str = "area",
                dismantled, trails, principles, baseline)
         tasks += [(k, job) for k in range(params.n_topologies)]
 
-    with PlanMemo():  # the tasks' searches share block results
+    with PlanMemo():  # the tasks' searches share block results and reports
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_run_task, tasks))

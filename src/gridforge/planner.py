@@ -615,27 +615,21 @@ def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationRep
 def _search_reports(scenarios: Sequence[Scenario]) -> Callable[[Grid], ViolationReport]:
     """Operation reports for one search on one base grid.
 
-    A grid built before in the search gets its report back; the searches
-    change only lines and switches, so those are its key. The reports share
-    the search's :class:`~gridforge.power_flow.PlanMemo`, so each switch
-    state of a topology is compiled once and its N-1 cases are computed
-    once. The reports, plans and N-1 cases live as long as the returned
+    The reports share the search's :class:`~gridforge.power_flow.PlanMemo`,
+    so each switch state of a topology is compiled once and its N-1 cases
+    are computed once, and a grid checked before in the memo gets its
+    report back. The plans and N-1 cases live as long as the returned
     function, and the plans are seen only while a report is computed. The
     memo is made in the entered one, if any (``pipeline.run_area``'s), and
-    shares its block results, which are keyed by the lines' ids, ends,
-    cable types and lengths: a feeder that an earlier search or task solved
-    is not solved again.
+    shares its block results and reports, which are keyed by what they are
+    computed from: a feeder that an earlier search or task solved is not
+    solved again, and a grid state that one checked is not checked again.
     """
-    reports: dict[tuple, ViolationReport] = {}
     memo = PlanMemo()
 
     def report(grid: Grid) -> ViolationReport:
-        key = (grid.lines, grid.switches)
-        found = reports.get(key)
-        if found is None:
-            with memo:
-                found = reports[key] = _operation_report(grid, scenarios)
-        return found
+        with memo:
+            return _operation_report(grid, scenarios)
 
     return report
 

@@ -60,15 +60,22 @@ injections and line types. A block result is keyed by what it is computed
 from: the id and ends, cable type and length of each of the block's lines,
 in line order. So every structure with those inputs shares it, and a
 candidate, a new search or an N-1 case that changes one feeder solves only
-that feeder again. A memo made while another is entered shares the other's
-block results; one made with none entered shares them with no other memo.
+that feeder again. The reports of both checks are kept per structure,
+keyed by the scenarios (the peak load for the N-1 check), the open
+switches, the cable types and the lengths: all that a check reads of the
+grid besides its structure. Remote-control flags are not in the key; they
+reach only the FMEA and the labels of the resupply actions. A memo made
+while another is entered shares the other's block results and reports;
+one made with none entered shares them with no other memo.
 
 ``pipeline.run_area`` enters one memo around its planning tasks, and each
 search enters a memo of its own, made inside it, while it computes a
 report: the plans and N-1 cases die with the search, the block results
-with the ``run_area`` call (in a ``--jobs`` worker, with the worker under
-fork and with the task under spawn). On the example area one ``run_area``
-call runs 1,616 block Newtons for its 12,490 load flows.
+and the reports with the ``run_area`` call (in a ``--jobs`` worker, with
+the worker under fork and with the task under spawn). So a grid state
+that an earlier search or task checked is not checked again: on the
+example area one ``run_area`` call runs 1,616 block Newtons for its 9,289
+load flows and computes the N-1 cases 352 times.
 :func:`check_normal_operation` and
 :func:`check_contingency_operation` enter a memo of their own when none is
 entered, and a lone solve gets a memo of its own. Every way gives the same
@@ -281,10 +288,11 @@ class _Structure(NamedTuple):
     tables: dict[Scenario, _Table]  # shared with every structure of the same inputs
     cases: dict[tuple[str, ...], tuple[SwitchingSequence, ...]]  # by open switches
     sigs: tuple[tuple[str, str, str], ...]  # id, from-bus and to-bus per line
+    reports: dict[tuple, ViolationReport]  # shared with every memo that shares the tables
 
 
 class PlanMemo:
-    """Solve plans, bus tables and block results of one scope.
+    """Solve plans, bus tables, block results and reports of one scope.
 
     While a memo is entered (``with memo:``), :func:`run_power_flow` looks
     its plans up here and compiles each only once; a solve outside every
@@ -295,20 +303,26 @@ class PlanMemo:
     structure, keyed by the open switches. Bus tables, each with the
     results of the blocks solved in its scenario, are kept per scenario
     and per inputs (buses, transformers, sources, injections and line
-    types), and shared by every structure with those inputs: by those of
-    this memo and, when the memo was made while another was entered, by
-    those of the other memo and of every memo made inside it. A memo made
-    with none entered shares its tables with no other memo. A structure is
-    taken in only when every transformer's LV bus is a bus of the grid and
-    its HV bus holds an external source.
+    types), and shared by every structure with those inputs. The reports
+    of :func:`check_normal_operation` and
+    :func:`check_contingency_operation` are kept per structure, keyed by
+    the scenarios, the open switches, the cable types and the lengths.
+    Tables and reports are shared by the structures of this memo and,
+    when the memo was made while another was entered, by those of the
+    other memo and of every memo made inside it. A memo made with none
+    entered shares them with no other memo. A structure is taken in only
+    when every transformer's LV bus is a bus of the grid and its HV bus
+    holds an external source.
     """
 
-    __slots__ = ("structures", "_tables", "_grid", "_entry", "_outer")
+    __slots__ = ("structures", "_tables", "_reports", "_grid", "_entry", "_outer")
 
     def __init__(self) -> None:
         self.structures: dict[tuple, _Structure] = {}
         self._tables: dict[tuple, dict[Scenario, _Table]] = (
             {} if _memo is None else _memo._tables)
+        self._reports: dict[tuple, dict[tuple, ViolationReport]] = (
+            {} if _memo is None else _memo._reports)
         self._grid: Grid | None = None
         self._entry: tuple = ()
         self._outer: PlanMemo | None = None
@@ -338,7 +352,8 @@ class PlanMemo:
                                          f"at its HV bus {t.hv_bus!r}")
                 # key[8:] is the buses, transformers, sources, injections and line types
                 structure = self.structures[key] = _Structure(
-                    {}, self._tables.setdefault(key[8:], {}), {}, tuple(zip(*key[:3])))
+                    {}, self._tables.setdefault(key[8:], {}), {}, tuple(zip(*key[:3])),
+                    self._reports.setdefault(key, {}))
             lines = grid.lines
             self._grid = grid
             self._entry = (structure, (structure.sigs, tuple([l.line_type for l in lines]),
@@ -690,19 +705,31 @@ def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
                            switch_state: dict[str, bool] | None = None) -> ViolationReport:
     """Voltage band and loading limits for every scenario, normal state.
 
+    The report is kept in the entered :class:`PlanMemo` per
+    :attr:`~gridforge.grid_model.Grid.structure_key`, scenarios, open
+    switches, cable types and lengths, and a grid checked before in the
+    memo gets it back without a load flow.
+
     Raises:
         ValueError: a transformer has an LV bus that is not a bus of the
             grid or no external source at its HV bus.
     """
-    entries: list[Violation] = []
+    scenarios = tuple(scenarios)
     with _scope():  # the scenarios share the plan
+        structure, (_, types, lengths) = _memo.of(grid)
+        key = (scenarios, _open_switches(grid, switch_state), types, lengths)
+        report = structure.reports.get(key)
+        if report is not None:
+            return report
+        entries: list[Violation] = []
         for scenario in scenarios:
             result = run_power_flow(grid, scenario, switch_state)
             entries.extend(_band_violations(grid, result, scenario, None))
             for station in grid.stations():
                 if station.id not in result.vm:
                     entries.append(Violation("unsupplied", station.id, 1.0, scenario.name))
-    return ViolationReport(tuple(entries))
+        report = structure.reports[key] = ViolationReport(tuple(entries))
+    return report
 
 
 def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
@@ -736,6 +763,9 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
     check reads of them depend on nothing else. When they are computed,
     the solve plan of each case is derived from the plan of the normal
     state and put into the memo, where :func:`run_power_flow` finds it.
+    The report is kept in the memo per structure, ``peak_load`` scenario,
+    open switches, cable types and lengths, and a grid checked before in
+    the memo gets it back without a load flow.
 
     Raises:
         ValueError: no ``peak_load`` scenario, or a transformer has an LV
@@ -745,14 +775,18 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
     peak_load = next((s for s in scenarios if s.name == "peak_load"), None)
     if peak_load is None:
         raise ValueError("contingency check needs a 'peak_load' scenario")
-    entries: list[Violation] = []
     with _scope():  # the cases share the blocks a fault leaves unchanged
-        structure, _ = _memo.of(grid)
-        key = _open_switches(grid, switch_state)
-        cases = structure.cases.get(key)
+        structure, (_, types, lengths) = _memo.of(grid)
+        opened = _open_switches(grid, switch_state)
+        key = (peak_load, opened, types, lengths)  # a Scenario, never a tuple, leads
+        report = structure.reports.get(key)
+        if report is not None:
+            return report
+        cases = structure.cases.get(opened)
         if cases is None:
-            cases = structure.cases[key] = contingency_cases(grid, switch_state)
+            cases = structure.cases[opened] = contingency_cases(grid, switch_state)
             _derive_case_plans(grid, structure.plans, switch_state, cases)
+        entries: list[Violation] = []
         for case in cases:
             failed = case.failed_line
             result = run_power_flow(grid, peak_load, case.resulting_state,
@@ -761,7 +795,8 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
             for bus_id in case.unsupplied:
                 if grid.buses_by_id[bus_id].requires_contingency_supply:
                     entries.append(Violation("unsupplied", bus_id, 1.0, peak_load.name, failed))
-    return ViolationReport(tuple(entries))
+        report = structure.reports[key] = ViolationReport(tuple(entries))
+    return report
 
 
 def _derive_case_plans(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],

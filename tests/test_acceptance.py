@@ -301,7 +301,7 @@ def test_08_example_area_end_to_end(tmp_path, monkeypatch):
 
     monkeypatch.setattr(power_flow, "run_power_flow", counted)
     second = run_area(area, principles, area="example")
-    assert 0 < solves[0] <= 12_490
+    assert 0 < solves[0] <= 9_289
     stamp = "2026-01-01T00:00:00+00:00"
     write_report(first, tmp_path / "a", timestamp=stamp)
     write_report(second, tmp_path / "b", timestamp=stamp)

@@ -19,6 +19,7 @@ from gridforge.pipeline import (
     run_area,
     write_report,
 )
+from gridforge.power_flow import check_contingency_operation, check_normal_operation
 from gridforge.principles import (
     load_principles,
     principles_from_dict,
@@ -353,12 +354,15 @@ def counted(monkeypatch, module, name) -> list:
 def test_run_area_solves_each_distinct_feeder_once(monkeypatch, data_dir):
     # block results are keyed by their lines' ids, ends, cable types and
     # lengths and live for the run_area call, so a feeder that an earlier
-    # candidate, search or task solved is not solved again
+    # candidate, search or task solved is not solved again; so do the
+    # reports, so a grid state that an earlier search or task checked
+    # runs no load flow and computes no N-1 case again
     blocks = counted(monkeypatch, power_flow, "_solve_block")
     solves = counted(monkeypatch, power_flow, "run_power_flow")
+    cases = counted(monkeypatch, power_flow, "contingency_cases")
     run_area(load_grid(data_dir / "example_area.json"),
              load_principles(data_dir / "principles.json"), area="example")
-    assert (len(blocks), len(solves)) == (1_616, 12_490)
+    assert (len(blocks), len(solves), len(cases)) == (1_616, 9_289, 352)
     assert power_flow._memo is None
 
 
@@ -374,6 +378,32 @@ def test_run_area_leaves_no_memo_entered_when_it_raises(tradeoff_principles):
     with pytest.raises(ValueError, match="transformer 'x_xm' has no external source"):
         run_area(grid, tradeoff_principles, area="x")
     assert power_flow._memo is None
+
+
+def test_the_re_validation_shares_nothing_with_the_searches(monkeypatch, tradeoff_principles):
+    # _select_reference runs outside run_area's memo, so each reference's
+    # checks run every load flow that a lone check of its grid runs
+    findings = pipeline._validation_findings
+    solves = counted(monkeypatch, power_flow, "run_power_flow")
+    validated = []
+
+    def validation(plan, principles, baseline):
+        assert power_flow._memo is None
+        before = len(solves)
+        out = findings(plan, principles, baseline)
+        validated.append((plan.grid, len(solves) - before))
+        return out
+
+    monkeypatch.setattr(pipeline, "_validation_findings", validation)
+    report = run_area(fx.station_tradeoff_area(), tradeoff_principles, area="station")
+    monkeypatch.undo()
+    assert len(validated) >= sum(r is not None for r in report.references.values()) > 1
+    solves = counted(monkeypatch, power_flow, "run_power_flow")
+    for grid, count in validated:
+        solves.clear()
+        check_normal_operation(grid, tradeoff_principles.scenarios).merged(
+            check_contingency_operation(grid, tradeoff_principles.scenarios))
+        assert len(solves) == count > 0
 
 
 def test_planning_tasks_reuse_the_fmea_of_phase_3(monkeypatch, tradeoff_principles):

@@ -31,7 +31,14 @@ from gridforge.power_flow import (
     polar_mismatch,
     run_power_flow,
 )
-from gridforge.planner import _reinforcement_pool, apply_measures, phase2_reinforce, phase4_mesh
+from gridforge.planner import (
+    Measure,
+    _reinforcement_pool,
+    _tie_points,
+    apply_measures,
+    phase2_reinforce,
+    phase4_mesh,
+)
 from gridforge.principles import principles_from_dict
 from gridforge.topology import energized_buses
 
@@ -482,17 +489,13 @@ def test_contingency_cases_are_keyed_by_structure_and_open_switches(monkeypatch)
     assert not grid.switches_by_id[tie].closed
     assert grid.switches_by_id[head].kind == "circuit_breaker"
 
-    def with_switch(sid, **change):
-        return grid.replace(switches=tuple(replace(s, **change) if s.id == sid else s
-                                           for s in grid.switches))
-
     line = grid.lines_by_id["a_2"]
     other_type = next(t.name for t in grid.line_types if t.name != line.line_type)
     cable = grid.replace(lines=tuple(replace(l, line_type=other_type) if l.id == line.id
                                      else l for l in grid.lines))
     checks = [(grid, None, 1), (cable, None, 0), (grid, {tie: True}, 1),
-              (with_switch(tie, closed=True), None, 0),
-              (with_switch(head, kind="load_break"), None, 1)]
+              (with_switch(grid, tie, closed=True), None, 0),
+              (with_switch(grid, head, kind="load_break"), None, 1)]
     calls = counted_cases(monkeypatch)
     memo = PlanMemo()
     reports = []
@@ -1066,6 +1069,171 @@ def test_a_chain_of_structures_in_one_memo_solves_exactly(build, principles, mon
             assert result == exact(run_power_flow(candidate, *step))
             assert result == exact(reference_power_flow(candidate, *step))
     assert shared < len(calls)
+
+
+# --------------------------------------------------------------------------
+# reports kept per grid state
+#
+# Each check keeps its report in the entered memo, per structure key and
+# keyed by the scenarios (the peak load for the N-1 check), the open
+# switches, the cable types and the lengths. The report dicts are shared
+# like the bus tables: by every memo made inside an entered one, and by no
+# other memo for one made with none entered.
+
+
+def counted_solves(monkeypatch) -> list:
+    """Records one entry per call of ``power_flow.run_power_flow``."""
+    solve = power_flow.run_power_flow
+    calls = []
+    monkeypatch.setattr(power_flow, "run_power_flow",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    return calls
+
+
+def both_checks(grid, scenarios, switch_state=None):
+    return (check_normal_operation(grid, scenarios, switch_state),
+            check_contingency_operation(grid, scenarios, switch_state))
+
+
+def test_grids_that_differ_only_in_remote_control_share_one_report(monkeypatch):
+    # the remote-control flags reach only the FMEA and the labels of the
+    # resupply actions, never the checks, so they are not in the key
+    grid = fx.example_area()
+    scenarios = principles_from_dict(fx.example_principles_dict()).scenarios
+    remote = grid.replace(switches=tuple(replace(s, remote_controlled=not s.remote_controlled)
+                                         for s in grid.switches))
+    calls = counted_solves(monkeypatch)
+    with PlanMemo():
+        with PlanMemo():
+            first = both_checks(grid, scenarios)
+        assert calls
+        calls.clear()
+        with PlanMemo():
+            second = both_checks(remote, scenarios)
+    assert calls == []
+    assert second[0] is first[0] and second[1] is first[1]
+    assert second == both_checks(remote, scenarios)
+
+
+def with_line(grid, **change):
+    line = grid.lines_by_id["a_2"]
+    return grid.replace(lines=tuple(replace(l, **change) if l.id == line.id else l
+                                    for l in grid.lines))
+
+
+def with_switch(grid, sid, **change):
+    return grid.replace(switches=tuple(replace(s, **change) if s.id == sid else s
+                                       for s in grid.switches))
+
+
+def with_bus_flag(grid):
+    bus = next(b for b in grid.buses if b.kind == "secondary_substation")
+    return grid.replace(buses=tuple(
+        replace(b, requires_contingency_supply=not b.requires_contingency_supply)
+        if b.id == bus.id else b for b in grid.buses))
+
+
+def with_peak(scenarios, **change):
+    return tuple(replace(s, **change) if s.name == "peak_load" else s for s in scenarios)
+
+
+@pytest.mark.parametrize("variant", [
+    lambda g, sc: (with_line(g, line_type=next(t.name for t in g.line_types
+                                                if t.name != g.lines_by_id["a_2"].line_type)),
+                   sc, None),
+    lambda g, sc: (with_line(g, length=g.lines_by_id["a_2"].length + 0.5), sc, None),
+    lambda g, sc: (with_switch(g, "b_tie@b3", closed=True), sc, None),
+    lambda g, sc: (g, sc, {"b_tie@b3": True}),
+    lambda g, sc: (with_switch(g, "a_1@mv", kind="load_break"), sc, None),
+    lambda g, sc: (with_bus_flag(g), sc, None),
+    lambda g, sc: (g, with_peak(sc, v_max=1.03), None),
+    lambda g, sc: (g, with_peak(sc, loading_max=40.0), None),
+], ids=["cable_type", "length", "open_switch", "switch_state", "switch_kind",
+        "contingency_supply", "v_max", "loading_max"])
+def test_a_change_to_any_checked_input_gets_a_report_of_its_own(variant, monkeypatch):
+    grid = fx.example_area()
+    scenarios = principles_from_dict(fx.example_principles_dict()).scenarios
+    other, other_scenarios, state = variant(grid, scenarios)
+    fresh = both_checks(other, other_scenarios, state)
+    calls = counted_solves(monkeypatch)
+    with PlanMemo():
+        with PlanMemo():
+            both_checks(grid, scenarios)
+        with PlanMemo():
+            for check, expected in zip((check_normal_operation, check_contingency_operation),
+                                       fresh):
+                calls.clear()
+                assert check(other, other_scenarios, state) == expected
+                assert calls, check.__name__  # computed, not taken from the first grid
+
+
+def test_a_memo_made_with_none_entered_shares_no_report(monkeypatch):
+    # the large_checks workload of perfbench counts the solves of lone
+    # checks, so a lone check must find no report of an earlier one
+    grid = fx.example_area()
+    scenarios = principles_from_dict(fx.example_principles_dict()).scenarios
+    n_cases = len(contingency_cases(grid))
+    calls = counted_solves(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        check_contingency_operation(grid, scenarios)
+        assert len(calls) == n_cases
+        calls.clear()
+        check_normal_operation(grid, scenarios)
+        assert len(calls) == len(scenarios)
+    first, second = PlanMemo(), PlanMemo()
+    with first:
+        report = check_contingency_operation(grid, scenarios)
+        inner = PlanMemo()
+    calls.clear()
+    with second:
+        assert check_contingency_operation(grid, scenarios) == report
+    assert len(calls) == n_cases
+    calls.clear()
+    with inner:  # made inside the first memo, so it shares its reports
+        assert check_contingency_operation(grid, scenarios) is report
+    assert calls == []
+
+
+@pytest.mark.parametrize("build,principles", [
+    (fx.example_area, fx.example_principles_dict),
+    (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
+    (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
+], ids=["example", "station", "mesh"])
+def test_a_chain_of_candidates_in_one_memo_reports_exactly(build, principles, monkeypatch):
+    # sectioning moves, ReplaceLine, AddParallel and CloseRing measures
+    # applied one after another, each grid checked in a memo of its own
+    # inside one outer memo, as the searches of one run_area call, and
+    # every grid of the chain checked again at its end: every report
+    # equals a fresh memo's, and the repeats run no load flow
+    grid = build()
+    pr = principles_from_dict(principles())
+    pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
+    rng = random.Random(build.__name__)
+    chain = [m for kind in ("ReplaceLine", "AddParallel")
+             for m in rng.sample([m for m in pool if m.kind == kind], 2)]
+    for tie, ring in _tie_points(grid):
+        opened = next(s for line in ring for s in grid.switches_by_line.get(line, ())
+                      if s.closed and s.kind == "load_break")
+        chain += [Measure(kind="SetSectioningPoint", target=tie.id, closed=True),
+                  Measure(kind="SetSectioningPoint", target=opened.id, closed=False),
+                  Measure(kind="CloseRing", target=opened.id)]
+    assert {m.kind for m in chain} >= {"AddParallel", "ReplaceLine", "SetSectioningPoint",
+                                       "CloseRing"}
+    candidates = [apply_measures(grid, tuple(chain[:n])) for n in range(len(chain) + 1)]
+    calls = counted_solves(monkeypatch)
+    scoped = []
+    with PlanMemo():
+        for candidate in candidates:
+            with PlanMemo():
+                scoped.append(both_checks(candidate, pr.scenarios))
+        shared = len(calls)
+        for candidate, reports in zip(candidates, scoped):
+            with PlanMemo():
+                assert both_checks(candidate, pr.scenarios) == reports
+        assert len(calls) == shared
+    for candidate, reports in zip(candidates, scoped):
+        assert reports == both_checks(candidate, pr.scenarios)
 
 
 # --------------------------------------------------------------------------
