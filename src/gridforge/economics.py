@@ -124,8 +124,7 @@ def plan_cost(grid: Grid, measures: Iterable, cost_model: CostModel) -> CostBrea
     return CostBreakdown(categories)
 
 
-def concept_overhead(grid: Grid, concept: str, cost_model: CostModel,
-                     switch_state: dict[str, bool] | None = None) -> CostBreakdown:
+def concept_overhead(grid: Grid, concept: str, cost_model: CostModel) -> CostBreakdown:
     """Grid-wide surcharge of a concept, independent of chosen measures.
 
     Closed-ring operation needs impedance protection per feeder bay at the
@@ -138,7 +137,7 @@ def concept_overhead(grid: Grid, concept: str, cost_model: CostModel,
         raise ValueError(f"unknown concept {concept!r}")
     breakdown = CostBreakdown()
     if concept == "closed_ring":
-        n_feeders = feeder_bays(grid, switch_state)
+        n_feeders = feeder_bays(grid)
         n_stations = sum(1 for b in grid.buses if b.kind == "secondary_substation")
         breakdown.categories["protection"] = (
             n_feeders * cost_model.impedance_protection_per_feeder

@@ -44,7 +44,6 @@ from gridforge.planner import (
 )
 from gridforge.power_flow import (
     PlanMemo,
-    _scope,
     check_contingency_operation,
     check_normal_operation,
 )
@@ -113,16 +112,18 @@ def _run_task(task) -> dict[str, ConceptPlan]:
     searches, its bookkeeping measures, whether it meshes, the dismantled
     grid, the trail candidates, the principles and the baseline FMEA.
 
-    The task runs in the entered :class:`~gridforge.power_flow.PlanMemo`,
-    so its searches share block results and reports with the tasks before
-    it: in :func:`run_area`'s memo when serial or in a forked pool worker,
-    else in a memo of the task's own."""
+    The task enters a :class:`~gridforge.power_flow.PlanMemo` of its own,
+    so its plans and N-1 cases live for the task and its phases share them.
+    The memo is made inside :func:`run_area`'s, serially or in a forked
+    pool worker, so block results and reports live for the ``run_area``
+    call and are shared with the tasks before it; under spawn the task's
+    memo stands alone."""
     k, (concept, seed_offset, bookkeeping, mesh, dismantled, trails,
         principles, baseline) = task
     params = principles.planner
     seed = params.seed + seed_offset
     base = seed + 104729 * (k + 1)  # phase 2 seeds base + 1, phase 4 base + 3
-    with _scope():
+    with PlanMemo():
         try:
             topo = phase1_topologies(
                 dismantled, trails, replace(params, n_topologies=1, seed=seed + k))[0]

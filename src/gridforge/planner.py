@@ -40,8 +40,8 @@ from gridforge.grid_model import (
     air_line_km,
 )
 from gridforge.power_flow import (
-    PlanMemo,
     ViolationReport,
+    _scope,
     check_contingency_operation,
     check_normal_operation,
 )
@@ -612,28 +612,6 @@ def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationRep
         check_contingency_operation(grid, scenarios))
 
 
-def _search_reports(scenarios: Sequence[Scenario]) -> Callable[[Grid], ViolationReport]:
-    """Operation reports for one search on one base grid.
-
-    The reports share the search's :class:`~gridforge.power_flow.PlanMemo`,
-    so each switch state of a topology is compiled once and its N-1 cases
-    are computed once, and a grid checked before in the memo gets its
-    report back. The plans and N-1 cases live as long as the returned
-    function, and the plans are seen only while a report is computed. The
-    memo is made in the entered one, if any (``pipeline.run_area``'s), and
-    shares its block results and reports, which are keyed by what they are
-    computed from: a feeder that an earlier search or task solved is not
-    solved again, and a grid state that one checked is not checked again.
-    """
-    memo = PlanMemo()
-
-    def report(grid: Grid) -> ViolationReport:
-        with memo:
-            return _operation_report(grid, scenarios)
-
-    return report
-
-
 def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
     """Open load-break switches whose closing alone closes a ring, in switch
     id order, each with the conducting path that forms the rest of it."""
@@ -657,11 +635,11 @@ def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
 def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
                       ) -> tuple[Grid, tuple[Measure, ...], ViolationReport]:
     """Greedily move open points around their rings while that strictly
-    reduces (violation count, magnitude). Switching is free. The trials
-    are one search (:func:`_search_reports`), so a switch state is compiled
-    and its N-1 cases are computed once however often it is checked."""
-    reports = _search_reports(scenarios)
-    report = reports(grid)
+    reduces (violation count, magnitude). Switching is free. The trials are
+    checked in the entered :class:`~gridforge.power_flow.PlanMemo`: a
+    switch state's plan and N-1 cases are computed once per planning task,
+    and a trial's report once per ``pipeline.run_area`` call."""
+    report = _operation_report(grid, scenarios)
     measures: list[Measure] = []
     while not report.feasible:
         score = (len(report), report.total_magnitude)
@@ -675,7 +653,7 @@ def _sectioning_moves(grid: Grid, scenarios: Sequence[Scenario]
                     trial = apply_measures(grid, (
                         Measure(kind="SetSectioningPoint", target=sectioning.id, closed=True),
                         Measure(kind="SetSectioningPoint", target=sw.id, closed=False)))
-                    trial_report = reports(trial)
+                    trial_report = _operation_report(trial, scenarios)
                     trial_score = (len(trial_report), trial_report.total_magnitude)
                     if trial_score < score and (best is None or trial_score < best[0]):
                         best = (trial_score, sectioning.id, sw.id, trial, trial_report)
@@ -727,46 +705,45 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
     Raises:
         PlannerError: violations persist even with every candidate built.
     """
-    base, moves, report = _sectioning_moves(grid, scenarios)
-    if report.feasible:
-        return ReinforcementPlan(base, moves, base, ())
+    with _scope():  # a direct call's checks share one memo
+        base, moves, report = _sectioning_moves(grid, scenarios)
+        if report.feasible:
+            return ReinforcementPlan(base, moves, base, ())
 
-    pool = _reinforcement_pool(base, params, cost_model)
-    if not pool:
-        raise PlannerError("operational violations but no reinforcement "
-                           "candidates (catalog empty?)", report.entries)
+        pool = _reinforcement_pool(base, params, cost_model)
+        if not pool:
+            raise PlannerError("operational violations but no reinforcement "
+                               "candidates (catalog empty?)", report.entries)
 
-    reports = _search_reports(scenarios)
+        def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
+            def violations() -> tuple[int, float]:
+                rep = _operation_report(apply_measures(base, active), scenarios)
+                return len(rep), rep.total_magnitude
 
-    def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
-        def violations() -> tuple[int, float]:
-            rep = reports(apply_measures(base, active))
-            return len(rep), rep.total_magnitude
+            return sum(m.cost_per_year for m in active), violations
 
-        return sum(m.cost_per_year for m in active), violations
+        # quick upper-bound probe: strongest build-out must be feasible
+        strongest: dict[str, Measure] = {}
+        parallels: list[Measure] = []
+        for m in pool:
+            if m.kind == "ReplaceLine":
+                strongest[m.target] = m  # catalog is ordered, last rung wins
+            else:
+                parallels.append(m)
+        probe = tuple(list(strongest.values()) + parallels)
+        probe_report = _operation_report(apply_measures(base, probe), scenarios)
+        if not probe_report.feasible:
+            raise PlannerError("grid cannot be reinforced within the catalog",
+                               probe_report.entries)
 
-    # quick upper-bound probe: strongest build-out must be feasible
-    strongest: dict[str, Measure] = {}
-    parallels: list[Measure] = []
-    for m in pool:
-        if m.kind == "ReplaceLine":
-            strongest[m.target] = m  # catalog is ordered, last rung wins
-        else:
-            parallels.append(m)
-    probe = tuple(list(strongest.values()) + parallels)
-    probe_report = reports(apply_measures(base, probe))
-    if not probe_report.feasible:
-        raise PlannerError("grid cannot be reinforced within the catalog",
-                           probe_report.entries)
-
-    result = ils(pool, objective, params, seed=params.seed if seed is None else seed)
-    cables = result.best.measures(pool)
-    if not result.best.feasible:
-        raise PlannerError(
-            "reinforcement search ended infeasible (budget too small?)",
-            reports(apply_measures(base, cables)).entries)
-    return ReinforcementPlan(apply_measures(base, cables), moves + cables,
-                             base, cables)
+        result = ils(pool, objective, params, seed=params.seed if seed is None else seed)
+        cables = result.best.measures(pool)
+        if not result.best.feasible:
+            raise PlannerError(
+                "reinforcement search ended infeasible (budget too small?)",
+                _operation_report(apply_measures(base, cables), scenarios).entries)
+        return ReinforcementPlan(apply_measures(base, cables), moves + cables,
+                                 base, cables)
 
 
 # --------------------------------------------------------------------------
@@ -834,8 +811,6 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
                       for b in forced_automation(active)])
         return apply_measures(base, ordered)
 
-    reports = _search_reports(scenarios)
-
     def objective(active: tuple[Measure, ...]) -> tuple[float, Violations]:
         candidate = realize(active)
         cost = (sum(m.cost_per_year for m in active)
@@ -843,7 +818,7 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
                 + concept_overhead(candidate, "closed_ring", cost_model).total)
 
         def violations() -> tuple[int, float]:
-            rep = reports(candidate)
+            rep = _operation_report(candidate, scenarios)
             return len(rep), rep.total_magnitude
 
         return cost, violations
@@ -852,12 +827,13 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
         return StagePlan(grid=base, measures=())
 
     start = [m.kind != "CloseRing" for m in pool]  # = the radial solution
-    result = ils(pool, objective, params,
-                 seed=params.seed if seed is None else seed, start=start)
-    chosen = result.best.measures(pool)
-    if not result.best.feasible:
-        raise PlannerError("meshing search lost feasibility",
-                           reports(realize(chosen)).entries)
+    with _scope():  # a direct call's checks share one memo
+        result = ils(pool, objective, params,
+                     seed=params.seed if seed is None else seed, start=start)
+        chosen = result.best.measures(pool)
+        if not result.best.feasible:
+            raise PlannerError("meshing search lost feasibility",
+                               _operation_report(realize(chosen), scenarios).entries)
     links = tuple(
         Measure(kind="AutomateStation", target=bus,
                 cost_per_year=cost_model.communication_link)

@@ -68,22 +68,31 @@ reach only the FMEA and the labels of the resupply actions. A memo made
 while another is entered shares the other's block results and reports;
 one made with none entered shares them with no other memo.
 
-``pipeline.run_area`` enters one memo around its planning tasks, and each
-search enters a memo of its own, made inside it, while it computes a
-report: the plans and N-1 cases die with the search, the block results
-and the reports with the ``run_area`` call (in a ``--jobs`` worker, with
-the worker under fork and with the task under spawn). So a grid state
-that an earlier search or task checked is not checked again: on the
-example area one ``run_area`` call runs 1,616 block Newtons for its 9,289
-load flows and computes the N-1 cases 352 times.
-:func:`check_normal_operation` and
-:func:`check_contingency_operation` enter a memo of their own when none is
-entered, and a lone solve gets a memo of its own. Every way gives the same
+Plans and N-1 cases live for one planning task: ``pipeline._run_task``
+enters a memo of its own around phases 1-3 and the task's closed-ring plan.
+Block results and reports live for one ``pipeline.run_area`` call: each
+task's memo is made inside the one ``run_area`` enters and shares them (in
+a ``--jobs`` worker too under fork; under spawn the task's memo stands
+alone). So a grid state that an earlier search or task checked is not
+checked again: on the example area one ``run_area`` call runs 1,616 block
+Newtons for its 9,289 load flows and computes the N-1 cases 345 times.
+:func:`check_normal_operation`, :func:`check_contingency_operation` and the
+planner's phases 2 and 4 enter a memo of their own when none is entered,
+and a lone solve gets a memo of its own. Every way gives the same
 result to the last bit, and the same as building every block per call in
 plain loops: Ybus sums each entry's terms in line order, admittances and
 loadings are scalar Python expressions per line (a vectorized ``np.abs``
 differs in the last bit), and a bus without injection gets
 ``complex(-0.0, -0.0) / S_BASE_MVA``.
+
+Both checks read the switch states stored in the grid, and every solve
+they run is a call of the module attribute :func:`run_power_flow`, so a
+profiler that replaces it sees each one: the normal check calls
+``run_power_flow(grid, scenario)`` once per scenario, with no switch state
+and no excluded line, and each N-1 case passes the case's
+``resulting_state`` and ``frozenset((failed_line,))``. The
+``large_checks`` workload of perfbench counts a solve as normal by exactly
+that. A report built without :func:`run_power_flow` would hide its solves.
 """
 
 from __future__ import annotations
@@ -120,10 +129,6 @@ class PfResult:
     loading: dict[str, float]  # percent of i_max per line
     p_slack_mw: float
     q_slack_mvar: float
-
-    @property
-    def v(self) -> dict[str, float]:
-        return self.vm
 
 
 @dataclass(frozen=True)
@@ -310,9 +315,11 @@ class PlanMemo:
     Tables and reports are shared by the structures of this memo and,
     when the memo was made while another was entered, by those of the
     other memo and of every memo made inside it. A memo made with none
-    entered shares them with no other memo. A structure is taken in only
-    when every transformer's LV bus is a bus of the grid and its HV bus
-    holds an external source.
+    entered shares them with no other memo. So in planning, plans and N-1
+    cases live for one planning task (its memo), and block results and
+    reports for one ``run_area`` call (the memo the tasks' memos are made
+    in). A structure is taken in only when every transformer's LV bus is a
+    bus of the grid and its HV bus holds an external source.
     """
 
     __slots__ = ("structures", "_tables", "_reports", "_grid", "_entry", "_outer")
@@ -701,8 +708,7 @@ def _band_violations(grid: Grid, result: PfResult, scenario: Scenario,
     return out
 
 
-def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
-                           switch_state: dict[str, bool] | None = None) -> ViolationReport:
+def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario]) -> ViolationReport:
     """Voltage band and loading limits for every scenario, normal state.
 
     The report is kept in the entered :class:`PlanMemo` per
@@ -717,13 +723,13 @@ def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
     scenarios = tuple(scenarios)
     with _scope():  # the scenarios share the plan
         structure, (_, types, lengths) = _memo.of(grid)
-        key = (scenarios, _open_switches(grid, switch_state), types, lengths)
+        key = (scenarios, _open_switches(grid, None), types, lengths)
         report = structure.reports.get(key)
         if report is not None:
             return report
         entries: list[Violation] = []
         for scenario in scenarios:
-            result = run_power_flow(grid, scenario, switch_state)
+            result = run_power_flow(grid, scenario)
             entries.extend(_band_violations(grid, result, scenario, None))
             for station in grid.stations():
                 if station.id not in result.vm:
@@ -732,8 +738,7 @@ def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario],
     return report
 
 
-def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
-                      ) -> tuple[SwitchingSequence, ...]:
+def contingency_cases(grid: Grid) -> tuple[SwitchingSequence, ...]:
     """The topology half of the N-1 check: per feeder head, the failed line
     and the switching sequence that resupplies after its fault.
 
@@ -741,16 +746,14 @@ def contingency_cases(grid: Grid, switch_state: dict[str, bool] | None = None
     never cable types; the remote-control flags only label how an action
     is actuated.
     """
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid, None)
     pre = _energized(grid, state)
     stations = {b.id for b in grid.stations()}
     return tuple(_resupply(grid, grid.lines_by_id[feeder.head_line], state, pre, stations)
                  for feeder in find_feeders(grid, state))
 
 
-def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
-                                switch_state: dict[str, bool] | None = None
-                                ) -> ViolationReport:
+def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationReport:
     """N-1 check: fail each feeder-head line, resupply, verify the restored
     state under peak load against the widened contingency band.
 
@@ -777,15 +780,15 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
         raise ValueError("contingency check needs a 'peak_load' scenario")
     with _scope():  # the cases share the blocks a fault leaves unchanged
         structure, (_, types, lengths) = _memo.of(grid)
-        opened = _open_switches(grid, switch_state)
+        opened = _open_switches(grid, None)
         key = (peak_load, opened, types, lengths)  # a Scenario, never a tuple, leads
         report = structure.reports.get(key)
         if report is not None:
             return report
         cases = structure.cases.get(opened)
         if cases is None:
-            cases = structure.cases[opened] = contingency_cases(grid, switch_state)
-            _derive_case_plans(grid, structure.plans, switch_state, cases)
+            cases = structure.cases[opened] = contingency_cases(grid)
+            _derive_case_plans(grid, structure.plans, cases)
         entries: list[Violation] = []
         for case in cases:
             failed = case.failed_line
@@ -800,14 +803,13 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario],
 
 
 def _derive_case_plans(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
-                       switch_state: dict[str, bool] | None,
                        cases: Iterable[SwitchingSequence]) -> None:
     """Put the solve plan of each N-1 case into ``plans``, derived from the
-    base plan (the switch state of the check, no line excluded). A case
+    base plan (the grid's own switch states, no line excluded). A case
     changes the failed line and the lines of the switches its sequence
     leaves in another state than before the fault."""
-    base = _plan(grid, plans, switch_state, frozenset())
-    before = _state_map(grid, switch_state)
+    base = _plan(grid, plans, None, frozenset())
+    before = _state_map(grid, None)
     line_of = grid.switches_by_id
     for case in cases:
         after, failed = case.resulting_state, case.failed_line

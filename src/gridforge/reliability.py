@@ -89,8 +89,7 @@ def installed_power_kw(grid: Grid) -> dict[str, float]:
     return out
 
 
-def outage_matrix(grid: Grid, params: ReliabilityParams,
-                  switch_state: dict[str, bool] | None = None, *,
+def outage_matrix(grid: Grid, params: ReliabilityParams, *,
                   ring_protection: bool = False) -> dict[str, dict[str, float]]:
     """Outage duration t_out,ki in hours per (failed line k, station i).
 
@@ -109,7 +108,7 @@ def outage_matrix(grid: Grid, params: ReliabilityParams,
     footprint is searched only from the lines it cuts, and each search
     stops at the first lit bus (see :mod:`gridforge.topology`).
     """
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid, None)
     matrix: dict[str, dict[str, float]] = {}
     t_fast = params.t_locate + params.t_remote
     t_slow = params.t_locate + params.t_onsite
@@ -132,8 +131,7 @@ def outage_matrix(grid: Grid, params: ReliabilityParams,
     return matrix
 
 
-def fmea(grid: Grid, params: ReliabilityParams,
-         switch_state: dict[str, bool] | None = None, *,
+def fmea(grid: Grid, params: ReliabilityParams, *,
          ring_protection: bool = False) -> FmeaResult:
     """Expected annual outage times/energies per station plus ASIDI.
 
@@ -141,8 +139,7 @@ def fmea(grid: Grid, params: ReliabilityParams,
         ValueError: no installed load anywhere (ASIDI undefined), or a line
             class without a configured failure rate.
     """
-    matrix = outage_matrix(grid, params, switch_state,
-                           ring_protection=ring_protection)
+    matrix = outage_matrix(grid, params, ring_protection=ring_protection)
     stations = [b.id for b in grid.stations()]
     t_out = {s: 0.0 for s in stations}
     for line_id, row in matrix.items():
@@ -180,11 +177,11 @@ def _compare(result: FmeaResult, baseline: FmeaResult,
     return violations
 
 
-def check_reliability(grid: Grid, params: ReliabilityParams, baseline: FmeaResult,
-                      switch_state: dict[str, bool] | None = None) -> list[ReliabilityViolation]:
+def check_reliability(grid: Grid, params: ReliabilityParams,
+                      baseline: FmeaResult) -> list[ReliabilityViolation]:
     """ASIDI must not exceed the baseline; station outage energy must stay
     within e_out_max (or within its own baseline if already above)."""
-    return _compare(fmea(grid, params, switch_state), baseline, params)
+    return _compare(fmea(grid, params), baseline, params)
 
 
 def apply_automation(grid: Grid, bus_id: str) -> Grid:
@@ -195,7 +192,7 @@ def apply_automation(grid: Grid, bus_id: str) -> Grid:
     return grid.replace(switches=switches)
 
 
-def _feeder_tree(grid: Grid, feeder: Feeder, state: dict[str, bool]):
+def _feeder_tree(grid: Grid, feeder: Feeder):
     """Parent map and root distance (km) of a radial feeder's buses."""
     feeder_lines = [grid.lines_by_id[lid] for lid in feeder.lines]
     adj: dict[str, list] = {}
@@ -216,8 +213,7 @@ def _feeder_tree(grid: Grid, feeder: Feeder, state: dict[str, bool]):
     return parent, dist
 
 
-def _load_centre(grid: Grid, feeder: Feeder, state: dict[str, bool],
-                 skip: set[str]) -> str | None:
+def _load_centre(grid: Grid, feeder: Feeder, skip: set[str]) -> str | None:
     """Station splitting the feeder's installed power most evenly.
 
     Ties go to the electrically farther station (then to the id, for full
@@ -225,7 +221,7 @@ def _load_centre(grid: Grid, feeder: Feeder, state: dict[str, bool],
     never returned.
     """
     installed = installed_power_kw(grid)
-    parent, dist = _feeder_tree(grid, feeder, state)
+    parent, dist = _feeder_tree(grid, feeder)
     members = [b for b in feeder.buses if b in dist]
     p_total = sum(installed.get(b, 0.0) for b in members)
 
@@ -253,8 +249,7 @@ def _load_centre(grid: Grid, feeder: Feeder, state: dict[str, bool],
 
 
 def automate_for_reliability(grid: Grid, params: ReliabilityParams,
-                             baseline: FmeaResult,
-                             switch_state: dict[str, bool] | None = None) -> list[str]:
+                             baseline: FmeaResult) -> list[str]:
     """Stations to automate (in order) until the reliability constraints hold.
 
     Repeatedly picks the feeder with the worst violation and automates its
@@ -266,15 +261,13 @@ def automate_for_reliability(grid: Grid, params: ReliabilityParams,
         ReliabilityError: every automatable station is exhausted while
             constraints are still violated.
     """
-    return _automate(grid, params, baseline, switch_state)[0]
+    return _automate(grid, params, baseline)[0]
 
 
-def _automate(grid: Grid, params: ReliabilityParams, baseline: FmeaResult,
-              switch_state: dict[str, bool] | None = None
-              ) -> tuple[list[str], FmeaResult]:
+def _automate(grid: Grid, params: ReliabilityParams,
+              baseline: FmeaResult) -> tuple[list[str], FmeaResult]:
     """:func:`automate_for_reliability`, and the FMEA of the grid with the
     chosen stations automated, which its last round computed."""
-    state = _state_map(grid, switch_state)
     chosen: list[str] = []
     current = grid
     already = {b.id for b in grid.buses
@@ -282,11 +275,11 @@ def _automate(grid: Grid, params: ReliabilityParams, baseline: FmeaResult,
                and any(s.bus == b.id for s in grid.switches)
                and all(s.remote_controlled for s in grid.switches if s.bus == b.id)}
     for _ in range(len(grid.buses) + 1):
-        result = fmea(current, params, state)
+        result = fmea(current, params)
         violations = _compare(result, baseline, params)
         if not violations:
             return chosen, result
-        feeders = find_feeders(current, state)
+        feeders = find_feeders(current)
         by_station = {}
         for feeder in feeders:
             for bus in feeder.buses:
@@ -308,7 +301,7 @@ def _automate(grid: Grid, params: ReliabilityParams, baseline: FmeaResult,
 
         station = None
         for feeder in target_feeders:
-            station = _load_centre(current, feeder, state, skip=already | set(chosen))
+            station = _load_centre(current, feeder, skip=already | set(chosen))
             if station is not None:
                 break
         if station is None:

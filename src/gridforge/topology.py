@@ -2,9 +2,10 @@
 
 Switch semantics: a line conducts iff it is in service and every switch
 attached to it is closed; a bus-line connection without a switch is hard
-wired. Transformers always conduct. All functions accept an optional
-``switch_state`` mapping (switch id -> closed) overriding the stored states,
-so planning code can explore switching configurations without copying grids.
+wired. Transformers always conduct. The checks, the feeder search, the
+radialization and the fault simulation accept an optional ``switch_state``
+mapping (switch id -> closed) overriding the stored states, so planning code
+can explore switching configurations without copying grids.
 
 The restoration model mirrors MV practice: a line fault trips the closed
 circuit breakers bounding the galvanically affected region, the two switches
@@ -615,10 +616,10 @@ def find_feeders(grid: Grid, switch_state: dict[str, bool] | None = None) -> lis
     return feeders
 
 
-def feeder_bays(grid: Grid, switch_state: dict[str, bool] | None = None) -> int:
+def feeder_bays(grid: Grid) -> int:
     """Number of feeder bays at primary-substation MV busbars (protection
     devices are counted per bay, which also works for meshed operation)."""
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid, None)
     energized = _energized(grid, state)
     bays = 0
     for line in _conducting_lines(grid, state):

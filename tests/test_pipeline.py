@@ -356,14 +356,36 @@ def test_run_area_solves_each_distinct_feeder_once(monkeypatch, data_dir):
     # lengths and live for the run_area call, so a feeder that an earlier
     # candidate, search or task solved is not solved again; so do the
     # reports, so a grid state that an earlier search or task checked
-    # runs no load flow and computes no N-1 case again
+    # runs no load flow and computes no N-1 case again; the N-1 cases live
+    # for one planning task, so its phases 2 and 4 share them
     blocks = counted(monkeypatch, power_flow, "_solve_block")
     solves = counted(monkeypatch, power_flow, "run_power_flow")
     cases = counted(monkeypatch, power_flow, "contingency_cases")
     run_area(load_grid(data_dir / "example_area.json"),
              load_principles(data_dir / "principles.json"), area="example")
-    assert (len(blocks), len(solves), len(cases)) == (1_616, 9_289, 352)
+    assert (len(blocks), len(solves), len(cases)) == (1_616, 9_289, 345)
     assert power_flow._memo is None
+
+
+def test_each_planning_task_enters_one_memo_inside_the_run_memo(monkeypatch, tradeoff_principles):
+    # plans and N-1 cases live for one task, block results and reports for
+    # the run_area call; no search or check inside a task enters a memo
+    entered = []
+    enter = power_flow.PlanMemo.__enter__
+    monkeypatch.setattr(power_flow.PlanMemo, "__enter__",
+                        lambda memo: entered.append((memo, power_flow._memo)) or enter(memo))
+    tasks = counted(monkeypatch, pipeline, "_run_task")
+    run_area(fx.mesh_tradeoff_area(), tradeoff_principles, area="mesh")
+    assert power_flow._memo is None
+    run_memo, outer = entered[0]
+    assert outer is None
+    task_memos = [memo for memo, outer in entered if outer is run_memo]
+    assert len(task_memos) == len(tasks) > 1
+    assert not any(outer in task_memos for _, outer in entered)
+    first, second = task_memos[:2]
+    assert first.structures is not second.structures
+    assert first._tables is second._tables is run_memo._tables
+    assert first._reports is second._reports is run_memo._reports
 
 
 def test_run_area_leaves_no_memo_entered_when_it_raises(tradeoff_principles):

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridforge import fixtures as fx
-from gridforge import planner
+from gridforge import planner, power_flow
 from gridforge.economics import CostModel, concept_overhead
 from gridforge.grid_model import air_line_km, default_scenarios
 from gridforge.planner import (
@@ -36,6 +37,7 @@ from gridforge.planner import (
 )
 from gridforge.pipeline import _flag_contingency_supply, run_area
 from gridforge.power_flow import (
+    PlanMemo,
     check_contingency_operation,
     check_normal_operation,
     contingency_cases,
@@ -147,12 +149,14 @@ def random_points(rng, n):
 def test_search_matches_exhaustive_enumeration():
     params = PlannerParams(max_evaluations=6000, non_improving_limit=12,
                            restarts=3, perturbation=0.3)
-    hits = 0
+    hits = evaluations = 0
     started = time.monotonic()
     for seed in range(100):
         pool, objective, cover, costs, full = make_cover_instance(seed)
         want = exhaustive_subset_optimum(cover, costs, full)
-        got = ils(pool, objective, params, seed=seed).best
+        result = ils(pool, objective, params, seed=seed)
+        got = result.best
+        evaluations += result.evaluations
         if want[0] == 0:
             # a feasible subset exists, so the search must never settle on
             # an infeasible one, optimal or not
@@ -161,7 +165,8 @@ def test_search_matches_exhaustive_enumeration():
             hits += 1
     elapsed = time.monotonic() - started
     assert hits >= 95, f"only {hits}/100 runs found the exhaustive optimum"
-    assert elapsed < 60.0
+    # a budget that machine speed cannot move
+    assert evaluations <= 39_433, f"{evaluations} evaluations in {elapsed:.1f} s"
 
 
 def test_search_rejects_an_empty_pool():
@@ -790,8 +795,9 @@ def test_phase2_on_the_example_area_skips_the_checks_of_bounded_flips(monkeypatc
 
 @pytest.mark.parametrize("seed", range(4))
 def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
-    # the memos only skip recomputing what an earlier candidate of the same
-    # search already gave, so every search must end where a memo-free one does
+    # the memos only skip recomputing what an earlier candidate, search or
+    # grid already gave, so phases that share one memo must end where
+    # phases whose every check runs in a memo of its own do
     pr = principles_from_dict(fx.tradeoff_principles_dict(seed=seed))
     params = replace(pr.planner, seed=seed)
     area = dismantle(fx.station_tradeoff_area(), 2.0, remove_station=True)
@@ -807,10 +813,29 @@ def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
             out.append((reinf.measures, reinf.grid, mesh.measures, mesh.grid))
         return out
 
-    memoized = plans()
-    monkeypatch.setattr(planner, "_search_reports", lambda scenarios: (
-        lambda grid: planner._operation_report(grid, scenarios)))
+    with PlanMemo():
+        memoized = plans()
+    monkeypatch.setattr(planner, "_scope", nullcontext)
+    assert power_flow._memo is None
     assert plans() == memoized
+
+
+def test_a_direct_phase2_call_shares_its_contingency_cases(monkeypatch):
+    # phase 2 enters a memo of its own when none is entered, so a direct
+    # call computes the N-1 cases of a switch state no more often than the
+    # same call inside a planning task's memo
+    mesh = fx.mesh_tradeoff_area()
+    pr = principles_from_dict(fx.tradeoff_principles_dict())
+    cases = power_flow.contingency_cases
+    calls = []
+    monkeypatch.setattr(power_flow, "contingency_cases",
+                        lambda grid: calls.append(grid) or cases(grid))
+    direct = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner)
+    n_direct = len(calls)
+    calls.clear()
+    with PlanMemo():
+        assert phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner) == direct
+    assert 0 < n_direct <= len(calls)
 
 
 def _two_ties(load_sn: float = 3.0):
@@ -845,11 +870,13 @@ def test_a_closed_ring_gets_its_own_contingency_cases():
     assert head_fault.resulting_state["t1@a2"] and not head_fault.resulting_state["t2@a2"]
     assert ring_fault.resulting_state["t2@a2"] and not ring_fault.resulting_state["t1@a2"]
 
-    reports = planner._search_reports(SCENARIOS)
-    assert [(v.kind, v.element, v.contingency) for v in reports(radial).entries] == [
-        ("overload", "t1", "A1")]
-    assert reports(ring) == planner._operation_report(ring, SCENARIOS)
-    assert reports(ring).feasible
+    with PlanMemo():
+        assert [(v.kind, v.element, v.contingency)
+                for v in planner._operation_report(radial, SCENARIOS).entries] == [
+            ("overload", "t1", "A1")]
+        ring_report = planner._operation_report(ring, SCENARIOS)
+    assert ring_report == planner._operation_report(ring, SCENARIOS)
+    assert ring_report.feasible
 
 
 # --------------------------------------------------------------------------

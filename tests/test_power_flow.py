@@ -42,6 +42,8 @@ from gridforge.planner import (
 from gridforge.principles import principles_from_dict
 from gridforge.topology import energized_buses
 
+from test_topology import with_switch_state
+
 PEAK_LOAD = Scenario("peak_load", scale_load=1.0, scale_pv=0.0, scale_wind=0.0)
 
 
@@ -366,7 +368,7 @@ def test_check_normal_operation_reports_unsupplied():
     grid = fx.open_ring_demo()
     state = {s.id: s.closed for s in grid.switches}
     state["f1@mv"] = False
-    report = check_normal_operation(grid, (PEAK_LOAD,), state)
+    report = check_normal_operation(with_switch_state(grid, state), (PEAK_LOAD,))
     kinds = {(v.kind, v.element) for v in report.entries}
     assert {("unsupplied", "s1"), ("unsupplied", "s2"), ("unsupplied", "s3")} <= kinds
     assert not report.feasible
@@ -429,11 +431,6 @@ def test_contingency_check_requires_peak_load_scenario():
         check_contingency_operation(grid, (Scenario("other", 1.0, 0.0, 0.0),))
 
 
-def test_result_v_alias():
-    result = run_power_flow(fx.two_bus_grid(), PEAK_LOAD)
-    assert result.v is result.vm
-
-
 # --------------------------------------------------------------------------
 # N-1 cases computed once per structure and open switches
 
@@ -479,9 +476,9 @@ def test_memoized_cases_give_the_same_contingency_report(build, principles, monk
 
 
 def test_contingency_cases_are_keyed_by_structure_and_open_switches(monkeypatch):
-    # a ring closure, a switch-state override and a feeder-head breaker
-    # turned load-break switch each get cases of their own; a grid whose
-    # open switches equal an earlier override's shares that override's
+    # a ring closure and a feeder-head breaker turned load-break switch each
+    # get cases of their own; a grid built anew whose open switches equal an
+    # earlier grid's shares that grid's
     grid = fx.example_area()
     peak = next(s for s in principles_from_dict(fx.example_principles_dict()).scenarios
                 if s.name == "peak_load")
@@ -493,19 +490,19 @@ def test_contingency_cases_are_keyed_by_structure_and_open_switches(monkeypatch)
     other_type = next(t.name for t in grid.line_types if t.name != line.line_type)
     cable = grid.replace(lines=tuple(replace(l, line_type=other_type) if l.id == line.id
                                      else l for l in grid.lines))
-    checks = [(grid, None, 1), (cable, None, 0), (grid, {tie: True}, 1),
-              (with_switch(grid, tie, closed=True), None, 0),
-              (with_switch(grid, head, kind="load_break"), None, 1)]
+    checks = [(grid, 1), (cable, 0), (with_switch_state(grid, {tie: True}), 1),
+              (with_switch(grid, tie, closed=True), 0),
+              (with_switch(grid, head, kind="load_break"), 1)]
     calls = counted_cases(monkeypatch)
     memo = PlanMemo()
     reports = []
-    for candidate, state, computed in checks:
+    for n, (candidate, computed) in enumerate(checks):
         before = len(calls)
         with memo:
-            reports.append(check_contingency_operation(candidate, (peak,), state))
-        assert len(calls) - before == computed, (state, computed)
-    for (candidate, state, _), report in zip(checks, reports):
-        assert report == check_contingency_operation(candidate, (peak,), state)
+            reports.append(check_contingency_operation(candidate, (peak,)))
+        assert len(calls) - before == computed, (n, computed)
+    for (candidate, _), report in zip(checks, reports):
+        assert report == check_contingency_operation(candidate, (peak,))
     assert reports[2] != reports[0]
 
 
@@ -1090,9 +1087,9 @@ def counted_solves(monkeypatch) -> list:
     return calls
 
 
-def both_checks(grid, scenarios, switch_state=None):
-    return (check_normal_operation(grid, scenarios, switch_state),
-            check_contingency_operation(grid, scenarios, switch_state))
+def both_checks(grid, scenarios):
+    return (check_normal_operation(grid, scenarios),
+            check_contingency_operation(grid, scenarios))
 
 
 def test_grids_that_differ_only_in_remote_control_share_one_report(monkeypatch):
@@ -1140,21 +1137,20 @@ def with_peak(scenarios, **change):
 @pytest.mark.parametrize("variant", [
     lambda g, sc: (with_line(g, line_type=next(t.name for t in g.line_types
                                                 if t.name != g.lines_by_id["a_2"].line_type)),
-                   sc, None),
-    lambda g, sc: (with_line(g, length=g.lines_by_id["a_2"].length + 0.5), sc, None),
-    lambda g, sc: (with_switch(g, "b_tie@b3", closed=True), sc, None),
-    lambda g, sc: (g, sc, {"b_tie@b3": True}),
-    lambda g, sc: (with_switch(g, "a_1@mv", kind="load_break"), sc, None),
-    lambda g, sc: (with_bus_flag(g), sc, None),
-    lambda g, sc: (g, with_peak(sc, v_max=1.03), None),
-    lambda g, sc: (g, with_peak(sc, loading_max=40.0), None),
-], ids=["cable_type", "length", "open_switch", "switch_state", "switch_kind",
-        "contingency_supply", "v_max", "loading_max"])
+                   sc),
+    lambda g, sc: (with_line(g, length=g.lines_by_id["a_2"].length + 0.5), sc),
+    lambda g, sc: (with_switch(g, "b_tie@b3", closed=True), sc),
+    lambda g, sc: (with_switch(g, "a_1@mv", kind="load_break"), sc),
+    lambda g, sc: (with_bus_flag(g), sc),
+    lambda g, sc: (g, with_peak(sc, v_max=1.03)),
+    lambda g, sc: (g, with_peak(sc, loading_max=40.0)),
+], ids=["cable_type", "length", "open_switch", "switch_kind", "contingency_supply",
+        "v_max", "loading_max"])
 def test_a_change_to_any_checked_input_gets_a_report_of_its_own(variant, monkeypatch):
     grid = fx.example_area()
     scenarios = principles_from_dict(fx.example_principles_dict()).scenarios
-    other, other_scenarios, state = variant(grid, scenarios)
-    fresh = both_checks(other, other_scenarios, state)
+    other, other_scenarios = variant(grid, scenarios)
+    fresh = both_checks(other, other_scenarios)
     calls = counted_solves(monkeypatch)
     with PlanMemo():
         with PlanMemo():
@@ -1163,7 +1159,7 @@ def test_a_change_to_any_checked_input_gets_a_report_of_its_own(variant, monkeyp
             for check, expected in zip((check_normal_operation, check_contingency_operation),
                                        fresh):
                 calls.clear()
-                assert check(other, other_scenarios, state) == expected
+                assert check(other, other_scenarios) == expected
                 assert calls, check.__name__  # computed, not taken from the first grid
 
 

@@ -31,6 +31,8 @@ from gridforge.reliability import (
     outage_matrix,
 )
 
+from test_topology import with_switch_state
+
 PARAMS = ReliabilityParams()
 
 
@@ -170,8 +172,10 @@ def fmea_oracle(grid, params, state, *, ring_protection=False):
 
 
 def assert_fmea_matches(grid, state=None, *, ring_protection=False):
-    state = state or {s.id: s.closed for s in grid.switches}
-    result = fmea(grid, PARAMS, state, ring_protection=ring_protection)
+    if state is not None:
+        grid = with_switch_state(grid, state)
+    state = {s.id: s.closed for s in grid.switches}
+    result = fmea(grid, PARAMS, ring_protection=ring_protection)
     matrix, t_out, e_out, asidi = fmea_oracle(grid, PARAMS, state,
                                               ring_protection=ring_protection)
     assert set(result.outage_matrix) == set(matrix)
