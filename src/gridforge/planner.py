@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from scipy.spatial import Delaunay, QhullError
-
 from gridforge.economics import CostModel, concept_overhead
 from gridforge.grid_model import (
     Grid,
@@ -281,16 +279,34 @@ def dismantle(grid: Grid, threshold_km: float = 2.0,
 
 
 def _delaunay_pairs(points: list[tuple[float, float]]) -> set[tuple[int, int]]:
-    n = len(points)
-    if n <= 1:
-        return set()
+    """Index pairs ``(i, j)``, ``i < j``, of Delaunay neighbours.
+
+    The distinct coordinates are triangulated once; three or fewer pair
+    completely, and a collinear layout chains along its line. Points that
+    share a coordinate (co-sited stations) pair with each other and each
+    gets every neighbour of that coordinate, so none is left unpaired.
+    """
+    sites: dict[tuple[float, float], list[int]] = {}
+    for i, point in enumerate(points):
+        sites.setdefault(point, []).append(i)
+    members = list(sites.values())
+    pairs = {(i, j) for group in members for i in group for j in group if i < j}
+    for a, b in _site_pairs(list(sites)):
+        pairs.update((min(i, j), max(i, j)) for i in members[a] for j in members[b])
+    return pairs
+
+
+def _site_pairs(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
+    n = len(sites)
     if n <= 3:
         return {(i, j) for i in range(n) for j in range(i + 1, n)}
+    # imported here: at start-up scipy.spatial costs ~0.3 s and +37.6 MiB RSS
+    from scipy.spatial import Delaunay, QhullError
     try:
-        tri = Delaunay(points)
+        tri = Delaunay(sites)
     except QhullError:
         # collinear (or otherwise flat) layouts: chain along the line
-        order = sorted(range(n), key=lambda i: points[i])
+        order = sorted(range(n), key=lambda i: sites[i])
         return {tuple(sorted(p)) for p in zip(order, order[1:])}
     pairs: set[tuple[int, int]] = set()
     for simplex in tri.simplices:

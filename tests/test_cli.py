@@ -256,3 +256,36 @@ def test_the_module_is_runnable_as_a_script(files):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "ok:" in proc.stdout
+
+
+# Runs in a fresh interpreter: other tests load scipy into this process.
+NO_SCIPY_UNTIL_A_PLAN = """
+import contextlib, io, sys
+import gridforge, gridforge.cli, gridforge.pipeline, gridforge.fixtures
+from gridforge import planner
+
+grid, principles = sys.argv[1:]
+codes = []
+for argv in (["validate", grid], ["pf", grid, "--principles", principles],
+             ["fmea", grid, "--principles", principles]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(gridforge.cli.main(argv))
+assert codes == [0, 0, 1], codes
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]}"
+
+pairs = planner._delaunay_pairs([(0.0, 0.0), (4.0, 0.5), (1.0, 3.0), (5.0, 4.0)])
+assert pairs == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}, pairs
+assert "scipy.spatial" in sys.modules
+print("ok")
+"""
+
+
+def test_scipy_is_loaded_only_when_plan_candidates_are_triangulated(data_dir):
+    src = str(Path(gridforge.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_UNTIL_A_PLAN, str(data_dir / "example_area.json"),
+         str(data_dir / "principles.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -142,6 +142,12 @@ def random_points(rng, n):
     return [(rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)) for _ in range(n)]
 
 
+def with_twin(pairs, of, twin):
+    """``pairs`` once point ``twin`` (the last index) repeats point ``of``:
+    the twin pairs with ``of`` and with every neighbour of ``of``."""
+    return pairs | {(of, twin)} | {(i + j - of, twin) for i, j in pairs if of in (i, j)}
+
+
 # --------------------------------------------------------------------------
 # search core
 
@@ -407,11 +413,31 @@ def test_neighbour_pairs_for_tiny_point_sets():
     assert _delaunay_pairs([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]) == {(0, 1), (0, 2), (1, 2)}
 
 
+def test_co_sited_points_pair_with_every_neighbour_of_their_site():
+    # qhull leaves a repeated point out of every simplex, so the twin must
+    # take the pairs of its site
+    square = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 10.0)]
+    assert _delaunay_pairs(square) == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3),
+                                       (0, 4), (1, 4), (2, 4), (3, 4)}
+    # three distinct coordinates pair completely, even collinear ones
+    line = [(0.0, 0.0), (0.0, 0.0), (5.0, 0.0), (9.0, 0.0)]
+    assert _delaunay_pairs(line) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    # four distinct collinear coordinates chain, and both twins join the chain
+    line.append((12.0, 0.0))
+    assert _delaunay_pairs(line) == {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)}
+    assert _delaunay_pairs([(3.0, 4.0)] * 3) == {(0, 1), (0, 2), (1, 2)}
+
+
 def test_neighbour_pairs_match_the_circumcircle_definition():
     for case in range(100):
         rng = random.Random(1000 + case)
         points = random_points(rng, rng.randint(4, 25))
-        assert _delaunay_pairs(points) == brute_force_delaunay(points), f"case {case}"
+        want = brute_force_delaunay(points)
+        assert _delaunay_pairs(points) == want, f"case {case}"
+        of = rng.randrange(len(points))
+        points.append(points[of])
+        assert _delaunay_pairs(points) == with_twin(want, of, len(points) - 1), \
+            f"case {case} with a twin of point {of}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -528,6 +554,22 @@ def test_trail_candidates_skip_coincident_stations():
     grid = b.build()
     trails = candidate_trails(grid, fx.CABLE_150.name, stations=["a", "b", "c"])
     assert [(m.target, m.to_station) for m in trails] == [("a", "c"), ("b", "c")]
+
+
+def test_co_sited_stations_each_get_trails():
+    b = fx.GridBuilder(fx.CABLE_150)
+    b.infeed("hv", "mv", 0.0, 0.0)
+    b.bus("a", "secondary_substation", 100.0, 100.0)
+    b.bus("b", "secondary_substation", 100.0, 100.0)  # same cabinet location
+    b.bus("c", "secondary_substation", 400.0, 500.0)
+    b.bus("d", "secondary_substation", 900.0, 100.0)
+    grid = b.build()
+    trails = candidate_trails(grid, fx.CABLE_150.name,
+                              stations=["mv", "a", "b", "c", "d"])
+    # four distinct coordinates are triangulated; b takes a's trails
+    assert [(m.target, m.to_station) for m in trails] == [
+        ("a", "c"), ("a", "d"), ("a", "mv"), ("b", "c"), ("b", "d"), ("b", "mv"),
+        ("c", "d"), ("c", "mv"), ("d", "mv")]
 
 
 # --------------------------------------------------------------------------
