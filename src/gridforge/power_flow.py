@@ -44,12 +44,15 @@ block that the base plan, of 18-39 blocks, does not.
 
 :func:`run_power_flow` compiles a solve plan, then solves it. The plan holds
 what cable choices do not change, as indices: per line-coupled
-component its buses and lines, and per block the positions of its buses in
-``grid.buses`` (sorted by id), its slack and PQ indices, and the position
-and end indices of its lines in ``grid.lines`` order. The solve step reads
-the cable types, computes the admittances, assembles Ybus, runs Newton per
-block and merges the block results through grid-wide bus and line
-positions, so a block holds nothing of the component it is part of.
+component its buses, slack busbars and lines, and per block the positions
+of its buses in ``grid.buses`` (sorted by id), its slack and PQ indices,
+and the position and end indices of its lines in ``grid.lines`` order. The
+solve step reads the cable types, computes the admittances, assembles
+Ybus and runs Newton per block. Its :class:`PfResult` holds the block
+results of the converged components and merges them into the ``vm``,
+``va`` and ``loading`` dicts, through grid-wide bus and line positions,
+only when one of those is first read; so a block holds nothing of the
+component it is part of.
 
 A :class:`PlanMemo` keeps the plans per grid structure
 (:attr:`~gridforge.grid_model.Grid.structure_key`), keyed by the open
@@ -58,15 +61,17 @@ switches. The bus injections and the block results are kept per scenario
 and per the inputs that fix them: the buses, transformers, sources,
 injections and line types. A block result is keyed by what it is computed
 from: the id and ends, cable type and length of each of the block's lines,
-in line order. So every structure with those inputs shares it, and a
-candidate, a new search or an N-1 case that changes one feeder solves only
-that feeder again. The reports of both checks are kept per structure,
-keyed by the scenarios (the peak load for the N-1 check), the open
-switches, the cable types and the lengths: all that a check reads of the
-grid besides its structure. Remote-control flags are not in the key; they
-reach only the FMEA and the labels of the resupply actions. A memo made
-while another is entered shares the other's block results and reports;
-one made with none entered shares them with no other memo.
+in line order, each such line numbered once per those inputs, so the key
+is ints. So every structure with those inputs shares it, and a candidate,
+a new search or an N-1 case that changes one feeder solves only that
+feeder again. The reports of both checks are kept per structure, keyed by
+the scenarios (the peak load for the N-1 check), the open switches and
+the line numbers, which stand for the cable types and the lengths: all
+that a check reads of the grid besides its structure. Remote-control flags
+are not in the key; they reach only the FMEA and the labels of the
+resupply actions. A memo made while another is entered shares the other's
+block results and reports; one made with none entered shares them with no
+other memo.
 
 Plans and N-1 cases live for one planning task: ``pipeline._run_task``
 enters a memo of its own around phases 1-3 and the task's closed-ring plan.
@@ -92,7 +97,21 @@ profiler that replaces it sees each one: the normal check calls
 and no excluded line, and each N-1 case passes the case's
 ``resulting_state`` and ``frozenset((failed_line,))``. The
 ``large_checks`` workload of perfbench counts a solve as normal by exactly
-that. A report built without :func:`run_power_flow` would hide its solves.
+that, and reads the results after the checks, which is when they merge. A
+report built without :func:`run_power_flow` would hide its solves.
+
+A check never merges a result. It builds each solve's entries from
+verdicts: each block result keeps, per band ``(v_min, v_max,
+loading_max)`` asked for, its PQ buses out of the band and its overloaded
+lines, sorted by id, computed on the first request. The entries of a solve
+are a ``nonconvergence`` entry if a component was left out, then the
+buses of the converged components out of the band (the busbars judged at
+their setpoint, once each, a busbar without lines too), then the
+overloaded lines, each group sorted by id; a station outside every
+converged component is unsupplied. That is, entry for entry and bit for
+bit, what judging every bus and line of the merged result in sorted order
+gives. On the example area one ``run_area`` call reads verdicts 58,667
+times from its 1,616 block results.
 """
 
 from __future__ import annotations
@@ -120,15 +139,85 @@ TOLERANCE = 1e-8  # pu mismatch, infinity norm
 MAX_ITERATIONS = 30
 
 
-@dataclass(frozen=True)
 class PfResult:
-    converged: bool
-    iterations: int
-    vm: dict[str, float]  # pu, solved buses only
-    va: dict[str, float]  # rad
-    loading: dict[str, float]  # percent of i_max per line
-    p_slack_mw: float
-    q_slack_mvar: float
+    """One load flow: whether every component converged, the largest
+    Newton iteration count of any block, per solved bus the voltage
+    magnitude ``vm`` (pu) and angle ``va`` (rad), per solved line the
+    ``loading`` (percent of i_max), and the power drawn from the slack
+    busbars. Results are equal when these seven values are.
+
+    A result of :func:`run_power_flow` holds its block results and merges
+    ``vm``, ``va`` and ``loading`` into dicts when one of them is first
+    read; the checks read the blocks' verdicts instead."""
+
+    __slots__ = ("converged", "iterations", "p_slack_mw", "q_slack_mvar", "_merged", "_parts")
+
+    def __init__(self, converged: bool, iterations: int, vm: dict[str, float],
+                 va: dict[str, float], loading: dict[str, float], p_slack_mw: float,
+                 q_slack_mvar: float) -> None:
+        self.converged = converged
+        self.iterations = iterations
+        self.p_slack_mw = p_slack_mw
+        self.q_slack_mvar = q_slack_mvar
+        self._merged: tuple[dict[str, float], dict[str, float], dict[str, float]] | None = (
+            vm, va, loading)
+        # the start voltages of the bus table, and per converged component
+        # its block results; None for a result built from its values
+        self._parts: tuple[np.ndarray, list[tuple[_Component, list[_BlockResult]]]] | None = None
+
+    @classmethod
+    def _of_blocks(cls, converged: bool, iterations: int, p_slack_mw: float,
+                   q_slack_mvar: float, table_vm: np.ndarray,
+                   parts: list[tuple[_Component, list[_BlockResult]]]) -> "PfResult":
+        result = cls(converged, iterations, {}, {}, {}, p_slack_mw, q_slack_mvar)
+        result._merged, result._parts = None, (table_vm, parts)
+        return result
+
+    @property
+    def vm(self) -> dict[str, float]:
+        return (self._merged or self._merge())[0]
+
+    @property
+    def va(self) -> dict[str, float]:
+        return (self._merged or self._merge())[1]
+
+    @property
+    def loading(self) -> dict[str, float]:
+        return (self._merged or self._merge())[2]
+
+    def _merge(self) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+        """The block results merged per component, through grid-wide bus
+        and line positions: busbars keep the setpoint and angle 0."""
+        table_vm, parts = self._parts
+        vm_out: dict[str, float] = {}
+        va_out: dict[str, float] = {}
+        loading: dict[str, float] = {}
+        vm = table_vm.copy()
+        va = np.zeros(len(vm))
+        flows: dict[int, float] = {}
+        for comp, results in parts:
+            for block, result in zip(comp.blocks, results):
+                vm[block.pq_pos] = result.vm
+                va[block.pq_pos] = result.va
+                flows.update(zip(block.key, result.loading))
+            vm_out.update(zip(comp.bus_ids, vm[comp.bus_pos].tolist()))
+            va_out.update(zip(comp.bus_ids, va[comp.bus_pos].tolist()))
+            loading.update(zip(comp.line_ids, map(flows.__getitem__, comp.line_pos)))
+        self._merged = (vm_out, va_out, loading)
+        return self._merged
+
+    def _values(self) -> tuple:
+        return (self.converged, self.iterations, self.vm, self.va, self.loading,
+                self.p_slack_mw, self.q_slack_mvar)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PfResult):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        names = ("converged", "iterations", "vm", "va", "loading", "p_slack_mw", "q_slack_mvar")
+        return "PfResult(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, self._values())) + ")"
 
 
 @dataclass(frozen=True)
@@ -253,12 +342,13 @@ class _Block(NamedTuple):
 
 class _Component(NamedTuple):
     """One line-coupled component of a solve plan: its buses
-    (``grid.buses[bus_pos]``, sorted by id), its lines
-    (``grid.lines[line_pos]``, in line order) and its blocks in the order
-    of their first line."""
+    (``grid.buses[bus_pos]``, sorted by id), the slack busbars among them,
+    its lines (``grid.lines[line_pos]``, in line order) and its blocks in
+    the order of their first line."""
 
     bus_pos: np.ndarray
     bus_ids: tuple[str, ...]
+    bars: tuple[tuple[str, int], ...]  # id and position of each slack busbar, by id
     line_ids: tuple[str, ...]
     line_pos: tuple[int, ...]
     blocks: tuple[_Block, ...]
@@ -271,6 +361,31 @@ class _BlockResult(NamedTuple):
     va: np.ndarray
     loading: list[float]  # per line of the block
     s_slack: complex  # pu, into the block from its slack busbars
+    pq_ids: tuple[str, ...]  # the block's PQ buses, sorted
+    line_ids: tuple[str, ...]  # the block's lines, in line order
+    bands: dict[tuple[float, float, float], tuple[list, list]]  # see verdicts
+
+    def verdicts(self, band: tuple[float, float, float]
+                 ) -> tuple[list[tuple[str, str, float]], list[tuple[str, float]]]:
+        """The block's band verdicts for ``band = (v_min, v_max,
+        loading_max)``: its PQ buses out of the band as ``(bus, kind,
+        magnitude)`` and its overloaded lines as ``(line, magnitude)``, each
+        sorted by id, with the magnitudes :func:`check_normal_operation`
+        reports. Computed on the first request per band."""
+        found = self.bands.get(band)
+        if found is None:
+            v_min, v_max, loading_max = band
+            buses: list[tuple[str, str, float]] = []
+            for bus, vm in zip(self.pq_ids, self.vm.tolist()):
+                if vm < v_min:
+                    buses.append((bus, "undervoltage", v_min - vm))
+                elif vm > v_max:
+                    buses.append((bus, "overvoltage", vm - v_max))
+            lines = sorted([(line, pct - loading_max)
+                            for line, pct in zip(self.line_ids, self.loading)
+                            if pct > loading_max])
+            found = self.bands[band] = (buses, lines)
+        return found
 
 
 class _Table(NamedTuple):
@@ -278,12 +393,12 @@ class _Table(NamedTuple):
     share their buses, transformers, sources, injections and line types:
     the injected power (pu, generation positive) and the start voltage
     magnitude (the setpoint at transformer busbars, 1 elsewhere); and the
-    block results solved so far, keyed by the id and ends, cable type and
-    length of each line of the block."""
+    block results solved so far, keyed by the numbers of the block's lines
+    (:meth:`PlanMemo.of`), in line order: one int for a block of one line."""
 
     sbus: np.ndarray
     vm: np.ndarray
-    blocks: dict[tuple, _BlockResult]
+    blocks: dict[int | tuple[int, ...], _BlockResult]
 
 
 class _Structure(NamedTuple):
@@ -291,8 +406,9 @@ class _Structure(NamedTuple):
 
     plans: dict[tuple, tuple[_Component, ...]]  # by open switches and excluded lines
     tables: dict[Scenario, _Table]  # shared with every structure of the same inputs
+    numbers: dict[tuple, int]  # per line (id, ends, type, length); shared like tables
     cases: dict[tuple[str, ...], tuple[SwitchingSequence, ...]]  # by open switches
-    sigs: tuple[tuple[str, str, str], ...]  # id, from-bus and to-bus per line
+    ends: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # ids, from- and to-buses
     reports: dict[tuple, ViolationReport]  # shared with every memo that shares the tables
 
 
@@ -308,10 +424,11 @@ class PlanMemo:
     structure, keyed by the open switches. Bus tables, each with the
     results of the blocks solved in its scenario, are kept per scenario
     and per inputs (buses, transformers, sources, injections and line
-    types), and shared by every structure with those inputs. The reports
-    of :func:`check_normal_operation` and
-    :func:`check_contingency_operation` are kept per structure, keyed by
-    the scenarios, the open switches, the cable types and the lengths.
+    types), and shared by every structure with those inputs, as are the
+    numbers of the lines that key the block results. The reports of
+    :func:`check_normal_operation` and :func:`check_contingency_operation`
+    are kept per structure, keyed by the scenarios, the open switches and
+    the line numbers, which stand for the cable types and the lengths.
     Tables and reports are shared by the structures of this memo and,
     when the memo was made while another was entered, by those of the
     other memo and of every memo made inside it. A memo made with none
@@ -326,7 +443,7 @@ class PlanMemo:
 
     def __init__(self) -> None:
         self.structures: dict[tuple, _Structure] = {}
-        self._tables: dict[tuple, dict[Scenario, _Table]] = (
+        self._tables: dict[tuple, tuple[dict[Scenario, _Table], dict[tuple, int]]] = (
             {} if _memo is None else _memo._tables)
         self._reports: dict[tuple, dict[tuple, ViolationReport]] = (
             {} if _memo is None else _memo._reports)
@@ -334,12 +451,12 @@ class PlanMemo:
         self._entry: tuple = ()
         self._outer: PlanMemo | None = None
 
-    def of(self, grid: Grid
-           ) -> tuple[_Structure, tuple[tuple, tuple[str, ...], tuple[float, ...]]]:
-        """What the memo keeps of the grid's structure, and the grid's
-        line signature (id and ends), cable type and length per line. A
-        report solves one grid several times, so the last grid's are kept
-        at hand.
+    def of(self, grid: Grid) -> tuple[_Structure, tuple[int, ...]]:
+        """What the memo keeps of the grid's structure, and the number of
+        each line: one int per distinct id, ends, cable type and length,
+        counted per shared-tables entry, so a block result is keyed by
+        ints. A report solves one grid several times, so the last grid's
+        are kept at hand.
 
         Raises:
             ValueError: a transformer of a new structure has an LV bus that
@@ -358,13 +475,15 @@ class PlanMemo:
                         raise ValueError(f"transformer {t.id!r} has no external source "
                                          f"at its HV bus {t.hv_bus!r}")
                 # key[8:] is the buses, transformers, sources, injections and line types
+                tables, numbers = self._tables.setdefault(key[8:], ({}, {}))
                 structure = self.structures[key] = _Structure(
-                    {}, self._tables.setdefault(key[8:], {}), {}, tuple(zip(*key[:3])),
-                    self._reports.setdefault(key, {}))
+                    {}, tables, numbers, {}, key[:3], self._reports.setdefault(key, {}))
             lines = grid.lines
+            number = structure.numbers
             self._grid = grid
-            self._entry = (structure, (structure.sigs, tuple([l.line_type for l in lines]),
-                                       tuple([l.length for l in lines])))
+            self._entry = (structure, tuple([
+                number.setdefault(line, len(number)) for line in zip(
+                    *structure.ends, [l.line_type for l in lines], [l.length for l in lines])]))
         return self._entry
 
     def __enter__(self) -> "PlanMemo":
@@ -455,7 +574,7 @@ def _assemble(grid: Grid, bars: Iterable[str], blocks: Iterable[_Block],
     for block in blocks:
         for i in block.slack:
             at_bar.setdefault(block.bus_ids[i], []).append(block)
-    where, lines = grid.bus_positions, grid.lines
+    where, lines, slack = grid.bus_positions, grid.lines, grid.slack_buses
     plan = list(kept)
     seen: set[str] = set()
     for root in bars:
@@ -481,6 +600,7 @@ def _assemble(grid: Grid, bars: Iterable[str], blocks: Iterable[_Block],
         plan.append(_Component(
             bus_pos=np.array([where[b] for b in ids]),
             bus_ids=tuple(ids),
+            bars=tuple([(b, where[b]) for b in ids if b in slack]),
             line_ids=tuple([lines[p].id for p in line_pos]),
             line_pos=tuple(line_pos),
             blocks=tuple([parts[key] for key in sorted(parts)])))
@@ -586,8 +706,10 @@ def _solve_block(grid: Grid, block: _Block, table: _Table) -> _BlockResult:
     bus_pos, pq = np.array(block.bus_pos), np.array(block.pq, dtype=int)
 
     vm, va, its, ok = _newton(ybus, table.sbus[bus_pos], table.vm[bus_pos], np.zeros(n), pq)
+    pq_ids = tuple([block.bus_ids[i] for i in block.pq])
+    line_ids = tuple([line.id for line in lines])
     if not ok:
-        return _BlockResult(its, False, vm[pq], va[pq], [], 0j)
+        return _BlockResult(its, False, vm[pq], va[pq], [], 0j, pq_ids, line_ids, {})
     v = vm * np.exp(1j * va)
     i_inj = ybus @ v
     slack = np.array(block.slack, dtype=int)
@@ -597,33 +719,24 @@ def _solve_block(grid: Grid, block: _Block, table: _Table) -> _BlockResult:
     for line, fi, ti, y in zip(lines, f, t, admittances):
         i_ka = abs((v[fi] - v[ti]) * y) * i_base_ka
         loading.append(100.0 * i_ka / types[line.line_type].i_max)
-    return _BlockResult(its, True, vm[pq], va[pq], loading, s_slack)
+    return _BlockResult(its, True, vm[pq], va[pq], loading, s_slack, pq_ids, line_ids, {})
 
 
 def _solve(grid: Grid, plan: tuple[_Component, ...], table: _Table,
-           cables: tuple[tuple, tuple[str, ...], tuple[float, ...]]) -> PfResult:
+           numbers: tuple[int, ...]) -> PfResult:
     """Each block of ``plan`` solved, or taken from ``table`` when a block
-    with the same line ids and ends, cable types and lengths was solved
-    before; then merged per component. A component with a block that did
-    not converge is left out."""
-    sigs, types, lengths = cables
+    with the same line numbers (ids and ends, cable types and lengths) was
+    solved before. A component with a block that did not converge is left
+    out; the others are merged when the result is first read."""
     memo = table.blocks
-    vm_out: dict[str, float] = {}
-    va_out: dict[str, float] = {}
-    loading: dict[str, float] = {}
     p_slack = q_slack = 0.0
     iterations = 0
     converged = True
-    # per bus and line of the grid; blocks write their own, busbars keep
-    # the setpoint and angle 0
-    vm = table.vm.copy()
-    va = np.zeros(len(vm))
-    flows: dict[int, float] = {}
-
+    parts: list[tuple[_Component, list[_BlockResult]]] = []
     for comp in plan:
         results = []
         for block in comp.blocks:
-            key = (block.pick(sigs), block.pick(types), block.pick(lengths))
+            key = block.pick(numbers)
             result = memo.get(key)
             if result is None:
                 result = memo[key] = _solve_block(grid, block, table)
@@ -632,20 +745,11 @@ def _solve(grid: Grid, plan: tuple[_Component, ...], table: _Table,
         if not all(r.converged for r in results):
             converged = False
             continue
-
-        for block, result in zip(comp.blocks, results):
-            vm[block.pq_pos] = result.vm
-            va[block.pq_pos] = result.va
-            flows.update(zip(block.key, result.loading))
+        for result in results:
             p_slack += result.s_slack.real * S_BASE_MVA
             q_slack += result.s_slack.imag * S_BASE_MVA
-        vm_out.update(zip(comp.bus_ids, vm[comp.bus_pos].tolist()))
-        va_out.update(zip(comp.bus_ids, va[comp.bus_pos].tolist()))
-        loading.update(zip(comp.line_ids, map(flows.__getitem__, comp.line_pos)))
-
-    return PfResult(converged=converged, iterations=iterations, vm=vm_out,
-                    va=va_out, loading=loading, p_slack_mw=p_slack,
-                    q_slack_mvar=q_slack)
+        parts.append((comp, results))
+    return PfResult._of_blocks(converged, iterations, p_slack, q_slack, table.vm, parts)
 
 
 def run_power_flow(grid: Grid, scenario: Scenario,
@@ -668,12 +772,12 @@ def run_power_flow(grid: Grid, scenario: Scenario,
             reports them as ``dangling_bus`` and ``unsourced_hv_side``).
     """
     exclude_lines = frozenset(exclude_lines)
-    structure, cables = (_memo if _memo is not None else PlanMemo()).of(grid)
+    structure, numbers = (_memo if _memo is not None else PlanMemo()).of(grid)
     plan = _plan(grid, structure.plans, switch_state, exclude_lines)
     table = structure.tables.get(scenario)
     if table is None:
         table = structure.tables[scenario] = _bus_table(grid, scenario)
-    return _solve(grid, plan, table, cables)
+    return _solve(grid, plan, table, numbers)
 
 
 def _plan(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
@@ -687,31 +791,46 @@ def _plan(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
     return plan
 
 
-def _band_violations(grid: Grid, result: PfResult, scenario: Scenario,
-                     contingency: str | None) -> list[Violation]:
-    v_min = scenario.v_min_cont if contingency else scenario.v_min
-    v_max = scenario.v_max_cont if contingency else scenario.v_max
+def _band_entries(result: PfResult, band: tuple[float, float, float], scenario: str,
+                  contingency: str | None) -> list[Violation]:
+    """The band violations of a result of :func:`run_power_flow`, merged
+    from the verdicts of its converged components' blocks: a
+    ``nonconvergence`` entry if a component was left out, then the buses
+    out of ``band = (v_min, v_max, loading_max)``, busbars at their
+    setpoint, then the overloaded lines, each group sorted by id."""
+    v_min, v_max, _ = band
     out: list[Violation] = []
     if not result.converged:
-        out.append(Violation("nonconvergence", scenario.name, 1.0, scenario.name, contingency))
-    for bus in sorted(result.vm):
-        vm = result.vm[bus]
-        if vm < v_min:
-            out.append(Violation("undervoltage", bus, v_min - vm, scenario.name, contingency))
-        elif vm > v_max:
-            out.append(Violation("overvoltage", bus, vm - v_max, scenario.name, contingency))
-    for line in sorted(result.loading):
-        pct = result.loading[line]
-        if pct > scenario.loading_max:
-            out.append(Violation("overload", line, pct - scenario.loading_max,
-                                 scenario.name, contingency))
+        out.append(Violation("nonconvergence", scenario, 1.0, scenario, contingency))
+    table_vm, parts = result._parts
+    buses: list[tuple[str, str, float]] = []
+    lines: list[tuple[str, float]] = []
+    for comp, results in parts:
+        for bar, pos in comp.bars:
+            vm = float(table_vm[pos])
+            if vm < v_min:
+                buses.append((bar, "undervoltage", v_min - vm))
+            elif vm > v_max:
+                buses.append((bar, "overvoltage", vm - v_max))
+        for r in results:
+            at_buses, at_lines = r.verdicts(band)
+            buses += at_buses
+            lines += at_lines
+    buses.sort()
+    lines.sort()
+    out += [Violation(kind, bus, magnitude, scenario, contingency)
+            for bus, kind, magnitude in buses]
+    out += [Violation("overload", line, magnitude, scenario, contingency)
+            for line, magnitude in lines]
     return out
 
 
 def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario]) -> ViolationReport:
     """Voltage band and loading limits for every scenario, normal state.
 
-    The report is kept in the entered :class:`PlanMemo` per
+    Each scenario's entries are merged from the band verdicts of the
+    solved blocks; a station outside every converged component is
+    unsupplied. The report is kept in the entered :class:`PlanMemo` per
     :attr:`~gridforge.grid_model.Grid.structure_key`, scenarios, open
     switches, cable types and lengths, and a grid checked before in the
     memo gets it back without a load flow.
@@ -722,17 +841,20 @@ def check_normal_operation(grid: Grid, scenarios: Iterable[Scenario]) -> Violati
     """
     scenarios = tuple(scenarios)
     with _scope():  # the scenarios share the plan
-        structure, (_, types, lengths) = _memo.of(grid)
-        key = (scenarios, _open_switches(grid, None), types, lengths)
+        structure, numbers = _memo.of(grid)
+        key = (scenarios, _open_switches(grid, None), numbers)
         report = structure.reports.get(key)
         if report is not None:
             return report
         entries: list[Violation] = []
         for scenario in scenarios:
             result = run_power_flow(grid, scenario)
-            entries.extend(_band_violations(grid, result, scenario, None))
+            entries += _band_entries(
+                result, (scenario.v_min, scenario.v_max, scenario.loading_max),
+                scenario.name, None)
+            supplied = {bus for comp, _ in result._parts[1] for bus in comp.bus_ids}
             for station in grid.stations():
-                if station.id not in result.vm:
+                if station.id not in supplied:
                     entries.append(Violation("unsupplied", station.id, 1.0, scenario.name))
         report = structure.reports[key] = ViolationReport(tuple(entries))
     return report
@@ -779,22 +901,23 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario]) -> Vi
     if peak_load is None:
         raise ValueError("contingency check needs a 'peak_load' scenario")
     with _scope():  # the cases share the blocks a fault leaves unchanged
-        structure, (_, types, lengths) = _memo.of(grid)
+        structure, numbers = _memo.of(grid)
         opened = _open_switches(grid, None)
-        key = (peak_load, opened, types, lengths)  # a Scenario, never a tuple, leads
+        key = (peak_load, opened, numbers)  # a Scenario, never a tuple, leads
         report = structure.reports.get(key)
         if report is not None:
             return report
         cases = structure.cases.get(opened)
         if cases is None:
             cases = structure.cases[opened] = contingency_cases(grid)
-            _derive_case_plans(grid, structure.plans, cases)
+            _derive_case_plans(grid, structure.plans, opened, cases)
+        band = (peak_load.v_min_cont, peak_load.v_max_cont, peak_load.loading_max)
         entries: list[Violation] = []
         for case in cases:
             failed = case.failed_line
             result = run_power_flow(grid, peak_load, case.resulting_state,
                                     exclude_lines=frozenset((failed,)))
-            entries.extend(_band_violations(grid, result, peak_load, failed))
+            entries += _band_entries(result, band, peak_load.name, failed)
             for bus_id in case.unsupplied:
                 if grid.buses_by_id[bus_id].requires_contingency_supply:
                     entries.append(Violation("unsupplied", bus_id, 1.0, peak_load.name, failed))
@@ -803,18 +926,22 @@ def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario]) -> Vi
 
 
 def _derive_case_plans(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
-                       cases: Iterable[SwitchingSequence]) -> None:
+                       opened: tuple[str, ...], cases: Iterable[SwitchingSequence]) -> None:
     """Put the solve plan of each N-1 case into ``plans``, derived from the
-    base plan (the grid's own switch states, no line excluded). A case
-    changes the failed line and the lines of the switches its sequence
-    leaves in another state than before the fault."""
+    base plan (the grid's own switch states, whose open switches are
+    ``opened``, no line excluded). A case changes the failed line and the
+    lines of the switches its sequence leaves in another state than before
+    the fault; its open switches are ``opened`` with those switches moved,
+    in grid order."""
     base = _plan(grid, plans, None, frozenset())
     before = _state_map(grid, None)
     line_of = grid.switches_by_id
+    order = {s.id: i for i, s in enumerate(grid.switches)}
     for case in cases:
         after, failed = case.resulting_state, case.failed_line
-        key = (_open_switches(grid, after), (failed,))
+        moved = [a.switch for a in case.actions if after[a.switch] != before[a.switch]]
+        now_open = set(opened).symmetric_difference(moved)
+        key = (tuple(sorted(now_open, key=order.__getitem__)), (failed,))
         if key not in plans:
-            changed = [failed, *(line_of[a.switch].line for a in case.actions
-                                 if after[a.switch] != before[a.switch])]
+            changed = [failed, *(line_of[sid].line for sid in moved)]
             plans[key] = _derive(grid, base, changed, after, frozenset((failed,)))

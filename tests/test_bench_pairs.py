@@ -72,3 +72,23 @@ def test_the_sides_alternate_and_a_failed_operation_sets_the_exit_status(
     # the run length is the benchmark's own, never an option
     with pytest.raises(SystemExit):
         bench_pairs.main(argv + ["--seconds", "5"])
+
+
+def test_relative_checkout_paths_run_in_their_checkout(tmp_path, monkeypatch, capsys):
+    # each checkout's run.py is started inside that checkout, so a relative
+    # path must not be applied twice
+    for side, rate in (("parent", 100.0), ("change", 120.0)):
+        bench = tmp_path / side / "perfbench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text(
+            "import json, pathlib\n"
+            "assert pathlib.Path('perfbench/run.py').is_file()\n"
+            f"print(json.dumps({result(rate, 1.0)!r}))\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 20, "end_to_end": METRICS}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["parent", "change", "--workload", "large_checks",
+                             "--seeds", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "seed 3 parent: correct=True failed=0/4 areas_per_h=100" in out
+    assert "seed 3 change: correct=True failed=0/4 areas_per_h=120" in out

@@ -23,7 +23,10 @@ from gridforge.grid_model import Scenario, Transformer, apply_scenario, save_gri
 from gridforge.power_flow import (
     MAX_ITERATIONS,
     S_BASE_MVA,
+    PfResult,
     PlanMemo,
+    Violation,
+    ViolationReport,
     check_contingency_operation,
     check_normal_operation,
     contingency_cases,
@@ -859,10 +862,9 @@ def test_plans_are_seen_only_inside_the_memo_block():
 # blocks: components cut at their slack busbars
 
 
-def test_a_diverging_block_drops_its_whole_component():
-    # two feeders off m1 are two blocks of one component; the far one cannot
-    # carry its load, so neither feeder nor the busbar gets a voltage, while
-    # the separate component behind m2 is solved
+def diverging_grid():
+    """Two feeders off m1, the far one too weak for its load, and a
+    separate healthy component behind m2."""
     b = GridBuilder(CABLE_150)
     b.infeed("h1", "m1", 0.0, 0.0)
     b.bus("a1", "secondary_substation", 2000.0, 0.0)
@@ -875,7 +877,14 @@ def test_a_diverging_block_drops_its_whole_component():
     b.bus("a2", "secondary_substation", 11000.0, 0.0)
     b.line("lb", "m2", "a2", 2.0, CABLE_150, breaker_at=("m2",))
     b.load("a2", 1.0)
-    grid = b.build()
+    return b.build()
+
+
+def test_a_diverging_block_drops_its_whole_component():
+    # two feeders off m1 are two blocks of one component; the far one cannot
+    # carry its load, so neither feeder nor the busbar gets a voltage, while
+    # the separate component behind m2 is solved
+    grid = diverging_grid()
     plan = power_flow._compile(grid, power_flow._state_map(grid, None), frozenset())
     assert [len(c.blocks) for c in plan] == [2, 1]
 
@@ -1396,6 +1405,23 @@ def test_case_plans_equal_full_compiles(build, monkeypatch):
         assert plan_fields(grid, plan) == plan_fields(grid, full), case.failed_line
 
 
+@pytest.mark.parametrize("build", [
+    fx.example_area, fx.station_tradeoff_area, fx.mesh_tradeoff_area,
+], ids=lambda build: build.__name__)
+def test_case_plans_are_keyed_by_the_open_switches_of_the_restored_state(build):
+    # a case's key is built from the base key and the switches its sequence
+    # moved, never from a scan of every switch
+    grid = build()
+    opened = power_flow._open_switches(grid, None)
+    cases = contingency_cases(grid)
+    plans = {}
+    power_flow._derive_case_plans(grid, plans, opened, cases)
+    keys = {(power_flow._open_switches(grid, case.resulting_state), (case.failed_line,))
+            for case in cases}
+    assert set(plans) == {(opened, ())} | keys
+    assert all(key[0] != opened for key in keys)
+
+
 @pytest.mark.parametrize("build", HAND_BUILT, ids=lambda build: build.__name__)
 def test_plans_derive_for_any_switch_flip_or_line_outage(build):
     # beyond the N-1 cases: every single switch flipped from the normal
@@ -1512,3 +1538,169 @@ def test_a_contingency_checks_plans_flood_nothing(monkeypatch):
     assert len(cases) > 2 and floods == []
     monkeypatch.undo()
     assert report == check_contingency_operation(grid, (PEAK_LOAD,))
+
+
+# --------------------------------------------------------------------------
+# reports from block verdicts
+#
+# The checks build each report from the band verdicts of the solved blocks
+# and never merge a load flow into dicts. The reference is the report logic
+# that read the merged result: every solved bus and line, sorted by id,
+# judged against the band, and a station without a voltage unsupplied.
+
+
+def merged_band_violations(result, scenario, contingency):
+    v_min = scenario.v_min_cont if contingency else scenario.v_min
+    v_max = scenario.v_max_cont if contingency else scenario.v_max
+    out = []
+    if not result.converged:
+        out.append(Violation("nonconvergence", scenario.name, 1.0, scenario.name, contingency))
+    for bus in sorted(result.vm):
+        vm = result.vm[bus]
+        if vm < v_min:
+            out.append(Violation("undervoltage", bus, v_min - vm, scenario.name, contingency))
+        elif vm > v_max:
+            out.append(Violation("overvoltage", bus, vm - v_max, scenario.name, contingency))
+    for line in sorted(result.loading):
+        pct = result.loading[line]
+        if pct > scenario.loading_max:
+            out.append(Violation("overload", line, pct - scenario.loading_max,
+                                 scenario.name, contingency))
+    return out
+
+
+def merged_reports(grid, scenarios):
+    """The normal and the N-1 report, each from merged load flows."""
+    normal = []
+    for scenario in scenarios:
+        result = run_power_flow(grid, scenario)
+        normal += merged_band_violations(result, scenario, None)
+        normal += [Violation("unsupplied", station.id, 1.0, scenario.name)
+                   for station in grid.stations() if station.id not in result.vm]
+    peak = next(s for s in scenarios if s.name == "peak_load")
+    n1 = []
+    for case in contingency_cases(grid):
+        failed = case.failed_line
+        result = run_power_flow(grid, peak, case.resulting_state, frozenset((failed,)))
+        n1 += merged_band_violations(result, peak, failed)
+        n1 += [Violation("unsupplied", bus, 1.0, peak.name, failed) for bus in case.unsupplied
+               if grid.buses_by_id[bus].requires_contingency_supply]
+    return ViolationReport(tuple(normal)), ViolationReport(tuple(n1))
+
+
+def narrowed(grid, scenario):
+    """``scenario`` with bands whose edges are voltages and a loading that
+    ``grid`` has in its normal state."""
+    result = run_power_flow(grid, scenario)
+    vms = sorted(result.vm.values())
+    loadings = sorted(result.loading.values())
+    n = len(vms)
+    return replace(scenario, v_min=vms[n // 3], v_max=vms[2 * n // 3], v_min_cont=vms[n // 4],
+                   v_max_cont=vms[3 * n // 4], loading_max=loadings[len(loadings) // 2])
+
+
+@pytest.mark.parametrize("build,principles", [
+    (fx.example_area, fx.example_principles_dict),
+    (fx.station_tradeoff_area, fx.tradeoff_principles_dict),
+    (fx.mesh_tradeoff_area, fx.tradeoff_principles_dict),
+], ids=["example", "station", "mesh"])
+def test_reports_from_block_verdicts_equal_the_merged_reference(build, principles):
+    # the base grid and reinforced candidates checked in one memo, as in a
+    # search, under the planning scenarios and under narrowed bands
+    grid = build()
+    pr = principles_from_dict(principles())
+    pool = _reinforcement_pool(grid, pr.planner, pr.cost_model)
+    rng = random.Random(build.__name__)
+    candidates = [grid] + [apply_measures(grid, tuple(m for m in pool if rng.random() < 0.3))
+                           for _ in range(3)]
+    bands = (pr.scenarios, tuple(narrowed(grid, s) for s in pr.scenarios))
+    kinds = set()
+    with PlanMemo():
+        for candidate in candidates:
+            for scenarios in bands:
+                reports = both_checks(candidate, scenarios)
+                assert reports == merged_reports(candidate, scenarios)
+                kinds.update(v.kind for report in reports for v in report.entries)
+    assert kinds >= {"undervoltage", "overvoltage", "overload"}
+
+
+def test_a_value_on_a_band_edge_is_no_violation():
+    grid = fx.example_area()
+    result = run_power_flow(grid, PEAK_LOAD)
+    pq = sorted((vm, bus) for bus, vm in result.vm.items() if bus not in grid.slack_buses)
+    flows = sorted((pct, line) for line, pct in result.loading.items())
+    (vm, bus), (pct, line) = pq[len(pq) // 2], flows[len(flows) // 2]
+    for edge in (replace(PEAK_LOAD, v_min=vm, loading_max=pct), replace(PEAK_LOAD, v_max=vm)):
+        report = check_normal_operation(grid, (edge,))
+        assert report == merged_reports(grid, (edge,))[0]
+        kinds = {v.kind for v in report.entries}
+        assert bus not in {v.element for v in report.entries}
+        assert kinds & {"undervoltage", "overvoltage"}
+        if edge.loading_max == pct:
+            assert line not in {v.element for v in report.entries} and "overload" in kinds
+
+
+def test_a_lone_busbar_out_of_band_is_reported_once():
+    # the fault on ld1 leaves busbar m2 as a component without a line; with
+    # both setpoints above the band each busbar is reported once per solve
+    grid = lone_busbar_after_fault()
+    setpoint = min(apply_scenario(grid, PEAK_LOAD).setpoints.values())
+    high = replace(PEAK_LOAD, v_max=setpoint - 0.01, v_max_cont=setpoint - 0.01)
+    normal, n1 = both_checks(grid, (high,))
+    assert (normal, n1) == merged_reports(grid, (high,))
+    over = [(v.element, v.contingency) for v in normal.entries + n1.entries
+            if v.kind == "overvoltage" and v.element in grid.slack_buses]
+    assert len(over) == len(set(over))
+    assert {("m1", None), ("m2", None), ("m2", "ld1")} <= set(over)
+
+
+def test_reports_of_a_grid_with_a_diverging_block_equal_the_merged_reference():
+    grid = diverging_grid()
+    normal, n1 = both_checks(grid, (PEAK_LOAD,))
+    assert (normal, n1) == merged_reports(grid, (PEAK_LOAD,))
+    assert normal.entries[0].kind == "nonconvergence"
+    assert any(v.kind == "nonconvergence" for v in n1.entries)
+
+
+def test_overloads_of_interleaved_feeders_are_sorted_by_id():
+    # the feeder of x1 and z1 is the first block, so its verdicts come
+    # before those of y1; the report still lists the lines by id
+    b = GridBuilder(CABLE_150)
+    b.infeed("h1", "m1", 0.0, 0.0)
+    for bus, x in (("a1", 1000.0), ("a2", 2000.0), ("b1", -1000.0)):
+        b.bus(bus, "secondary_substation", x, 0.0)
+        b.load(bus, 0.3)
+    b.line("x1", "m1", "a1", 1.0, CABLE_150, breaker_at=("m1",))
+    b.line("y1", "m1", "b1", 1.0, CABLE_150, breaker_at=("m1",))
+    b.line("z1", "a1", "a2", 1.0, CABLE_150)
+    grid = b.build()
+    tight = replace(PEAK_LOAD, loading_max=0.0)
+    report = check_normal_operation(grid, (tight,))
+    assert report == merged_reports(grid, (tight,))[0]
+    assert [v.element for v in report.entries if v.kind == "overload"] == ["x1", "y1", "z1"]
+
+
+def values(result):
+    return (result.converged, result.iterations, dict(result.vm), dict(result.va),
+            dict(result.loading), result.p_slack_mw, result.q_slack_mvar)
+
+
+def test_the_checks_merge_no_load_flow(monkeypatch):
+    merge = PfResult._merge
+    merges = []
+    monkeypatch.setattr(PfResult, "_merge", lambda self: merges.append(self) or merge(self))
+    solves = counted_solves(monkeypatch)
+    grid = fx.example_area()
+    scenarios = principles_from_dict(fx.example_principles_dict()).scenarios
+    both_checks(grid, scenarios)
+    assert len(solves) > len(scenarios) and merges == []
+
+    # a result merges once, on the first read of any of its dicts, into
+    # what the reference solve gives; it equals a result built from its values
+    for first in ("vm", "va", "loading"):
+        result = run_power_flow(grid, scenarios[0])
+        getattr(result, first)
+        assert exact(result) == exact(reference_power_flow(grid, scenarios[0]))
+        assert result == PfResult(*values(result))
+    assert len(merges) == 3
+    assert result != PfResult(*values(result)[:-1], result.q_slack_mvar + 1.0)

@@ -97,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     args = parser.parse_args(argv)
+    # run_once starts each run inside its checkout, so a relative path
+    # would be applied twice
+    args.parent, args.change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
