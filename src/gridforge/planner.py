@@ -526,19 +526,18 @@ class StagePlan:
     fmea: FmeaResult | None = None  # of grid, where the stage computed it (phase 3)
 
 
-def _radialized_state(grid: Grid) -> dict[str, bool]:
-    """Sectioning points chosen fresh: start from everything closed, then
-    open until radial. Legacy open points carry no meaning on a rebuilt
-    structure (they may sit on what is now the only supply path)."""
-    all_closed = {s.id: True for s in grid.switches}
-    return derive_radial_state(grid, all_closed)
+def _radialized(grid: Grid) -> Grid:
+    """The grid with the switch state of :func:`derive_radial_state` stored
+    in it; a switch that keeps its position is the same object."""
+    state = derive_radial_state(grid)
+    return grid.replace(switches=tuple(
+        s if s.closed == state[s.id] else replace(s, closed=state[s.id])
+        for s in grid.switches))
 
 
 def _topology_violations(grid: Grid) -> list:
-    state = _radialized_state(grid)
-    return (check_supply(grid, state)
-            + check_radiality(grid, state)
-            + check_contingency_supply(grid, state))
+    radial = _radialized(grid)
+    return check_supply(radial) + check_radiality(radial) + check_contingency_supply(radial)
 
 
 def _greedy_spanning_start(grid: Grid, trails: Sequence[Measure],
@@ -566,14 +565,13 @@ def _greedy_spanning_start(grid: Grid, trails: Sequence[Measure],
 def _persist_radial_state(grid: Grid) -> tuple[Grid, tuple[Measure, ...]]:
     """Bake the freshly chosen radial switch state into the grid; report
     every switch whose position changed as a free sectioning measure."""
-    state = _radialized_state(grid)
+    radial = _radialized(grid)
     moves = tuple(
-        Measure(kind="SetSectioningPoint", target=s.id, closed=state[s.id])
-        for s in grid.switches if s.closed != state[s.id])
+        Measure(kind="SetSectioningPoint", target=new.id, closed=new.closed)
+        for old, new in zip(grid.switches, radial.switches) if old is not new)
     if not moves:
         return grid, ()
-    switches = tuple(replace(s, closed=state[s.id]) for s in grid.switches)
-    return grid.replace(switches=switches), moves
+    return radial, moves
 
 
 def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
@@ -631,7 +629,7 @@ def _operation_report(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationRep
 def _tie_points(grid: Grid) -> list[tuple[Switch, list[str]]]:
     """Open load-break switches whose closing alone closes a ring, in switch
     id order, each with the conducting path that forms the rest of it."""
-    state = _state_map(grid, None)
+    state = _state_map(grid)
     out = []
     for sw in sorted(grid.switches, key=lambda s: s.id):
         if state[sw.id] or sw.kind != "load_break":

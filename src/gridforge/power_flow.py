@@ -252,32 +252,21 @@ class ViolationReport:
         return ViolationReport(self.entries + other.entries)
 
 
-def polar_mismatch(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
-                   sbus: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Stacked real/imag power mismatch at the PQ buses (pu)."""
-    v = vm * np.exp(1j * va)
-    return _mismatch(v, ybus @ v, sbus, pq)
-
-
 def _mismatch(v: np.ndarray, i: np.ndarray, sbus: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Stacked real/imag power mismatch at the PQ buses (pu) of the bus
+    voltages ``v`` and the injected currents ``i = Ybus v``."""
     mis = v * np.conj(i) - sbus
     return np.concatenate([mis[pq].real, mis[pq].imag])
 
 
-def polar_jacobian(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray,
-                   pq: np.ndarray) -> np.ndarray:
-    """Jacobian of :func:`polar_mismatch` w.r.t. [va[pq], vm[pq]].
+def _jacobian(y: np.ndarray, v: np.ndarray, i: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Jacobian of :func:`_mismatch` w.r.t. [va[pq], vm[pq]] from the PQ
+    block ``y`` of Ybus, the bus voltages ``v`` and the injected currents
+    ``i = Ybus v``.
 
     The diagonal-matrix products of the textbook form are written as row
     and column scalings plus one diagonal add, so building it is O(n²).
     """
-    v = vm * np.exp(1j * va)
-    return _jacobian(ybus[np.ix_(pq, pq)], v, ybus @ v, pq)
-
-
-def _jacobian(y: np.ndarray, v: np.ndarray, i: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """:func:`polar_jacobian` from the PQ block ``y`` of Ybus, the bus
-    voltages ``v`` and the injected currents ``i = Ybus v``."""
     m = len(pq)
     v_pq, i_pq = v[pq], i[pq]
     vn_pq = v_pq / np.abs(v_pq)
@@ -787,7 +776,8 @@ def _plan(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
     key = (_open_switches(grid, switch_state), tuple(sorted(exclude_lines)))
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _compile(grid, _state_map(grid, switch_state), exclude_lines)
+        state = {**_state_map(grid), **(switch_state or {})}
+        plan = plans[key] = _compile(grid, state, exclude_lines)
     return plan
 
 
@@ -868,11 +858,11 @@ def contingency_cases(grid: Grid) -> tuple[SwitchingSequence, ...]:
     never cable types; the remote-control flags only label how an action
     is actuated.
     """
-    state = _state_map(grid, None)
+    state = _state_map(grid)
     pre = _energized(grid, state)
     stations = {b.id for b in grid.stations()}
     return tuple(_resupply(grid, grid.lines_by_id[feeder.head_line], state, pre, stations)
-                 for feeder in find_feeders(grid, state))
+                 for feeder in find_feeders(grid))
 
 
 def check_contingency_operation(grid: Grid, scenarios: Sequence[Scenario]) -> ViolationReport:
@@ -934,7 +924,7 @@ def _derive_case_plans(grid: Grid, plans: dict[tuple, tuple[_Component, ...]],
     the fault; its open switches are ``opened`` with those switches moved,
     in grid order."""
     base = _plan(grid, plans, None, frozenset())
-    before = _state_map(grid, None)
+    before = _state_map(grid)
     line_of = grid.switches_by_id
     order = {s.id: i for i, s in enumerate(grid.switches)}
     for case in cases:

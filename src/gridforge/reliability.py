@@ -108,7 +108,7 @@ def outage_matrix(grid: Grid, params: ReliabilityParams, *,
     footprint is searched only from the lines it cuts, and each search
     stops at the first lit bus (see :mod:`gridforge.topology`).
     """
-    state = _state_map(grid, None)
+    state = _state_map(grid)
     matrix: dict[str, dict[str, float]] = {}
     t_fast = params.t_locate + params.t_remote
     t_slow = params.t_locate + params.t_onsite
@@ -248,26 +248,21 @@ def _load_centre(grid: Grid, feeder: Feeder, skip: set[str]) -> str | None:
     return candidates[0][2]
 
 
-def automate_for_reliability(grid: Grid, params: ReliabilityParams,
-                             baseline: FmeaResult) -> list[str]:
-    """Stations to automate (in order) until the reliability constraints hold.
+def _automate(grid: Grid, params: ReliabilityParams,
+              baseline: FmeaResult) -> tuple[list[str], FmeaResult]:
+    """Stations to automate (in order) until the reliability constraints
+    hold, and the FMEA of the grid with them automated, which the last
+    round computed.
 
     Repeatedly picks the feeder with the worst violation and automates its
     load-centre station, which partitions the feeder: faults on one side no
-    longer force on-site switching times onto the other. Returns the chosen
-    station ids; empty if the grid is already compliant.
+    longer force on-site switching times onto the other. The station list
+    is empty if the grid is already compliant.
 
     Raises:
         ReliabilityError: every automatable station is exhausted while
             constraints are still violated.
     """
-    return _automate(grid, params, baseline)[0]
-
-
-def _automate(grid: Grid, params: ReliabilityParams,
-              baseline: FmeaResult) -> tuple[list[str], FmeaResult]:
-    """:func:`automate_for_reliability`, and the FMEA of the grid with the
-    chosen stations automated, which its last round computed."""
     chosen: list[str] = []
     current = grid
     already = {b.id for b in grid.buses

@@ -2,10 +2,10 @@
 
 Switch semantics: a line conducts iff it is in service and every switch
 attached to it is closed; a bus-line connection without a switch is hard
-wired. Transformers always conduct. The checks, the feeder search, the
-radialization and the fault simulation accept an optional ``switch_state``
-mapping (switch id -> closed) overriding the stored states, so planning code
-can explore switching configurations without copying grids.
+wired. Transformers always conduct. Every public function reads the switch
+positions stored in the grid; planning code that explores another switching
+configuration stores it in a copy of the grid. The radialization alone
+ignores them: it chooses the open points of a structure afresh.
 
 The restoration model mirrors MV practice: a line fault trips the closed
 circuit breakers bounding the galvanically affected region, the two switches
@@ -49,12 +49,9 @@ __all__ = [
     "check_radiality",
     "check_supply",
     "derive_radial_state",
-    "energized_buses",
-    "fault_analysis",
     "feeder_bays",
     "find_feeders",
     "find_stubs",
-    "resupply_sequence",
 ]
 
 SPLITTING_KINDS = ("primary_substation", "switching_station")
@@ -70,13 +67,9 @@ class TopologyViolation:
         return f"{self.kind}({self.element}): {self.message}"
 
 
-def _state_map(grid: Grid, switch_state: dict[str, bool] | None) -> dict[str, bool]:
-    state = {s.id: s.closed for s in grid.switches}
-    if switch_state:
-        for sid, closed in switch_state.items():
-            if sid in state:
-                state[sid] = closed
-    return state
+def _state_map(grid: Grid) -> dict[str, bool]:
+    """The switch positions stored in the grid: switch id -> closed."""
+    return {s.id: s.closed for s in grid.switches}
 
 
 def _conducts(grid: Grid, state: dict[str, bool],
@@ -92,13 +85,6 @@ def _conducts(grid: Grid, state: dict[str, bool],
 def _conducting_lines(grid: Grid, state: dict[str, bool],
                       exclude: frozenset[str] = frozenset()) -> list[Line]:
     return list(filter(_conducts(grid, state, exclude), grid.lines))
-
-
-def energized_buses(grid: Grid, switch_state: dict[str, bool] | None = None,
-                    exclude_lines: frozenset[str] = frozenset()) -> frozenset[str]:
-    """Buses reachable from any external source over the conducting grid."""
-    state = _state_map(grid, switch_state)
-    return _energized(grid, state, exclude_lines)
 
 
 def _sources(grid: Grid) -> list[str]:
@@ -180,9 +166,9 @@ def _unreached(seeds: Iterable[str], neighbours: Callable[[str], Iterable[str]],
     return dark
 
 
-def check_supply(grid: Grid, switch_state: dict[str, bool] | None = None) -> list[TopologyViolation]:
+def check_supply(grid: Grid) -> list[TopologyViolation]:
     """Every secondary substation and switching station must be energized."""
-    energized = energized_buses(grid, switch_state)
+    energized = _energized(grid, _state_map(grid))
     return [
         TopologyViolation("unsupplied", b.id, f"{b.kind} {b.id} has no energized path to a source")
         for b in grid.stations() if b.id not in energized
@@ -245,7 +231,7 @@ class _UnionFind:
         return True
 
 
-def check_radiality(grid: Grid, switch_state: dict[str, bool] | None = None) -> list[TopologyViolation]:
+def check_radiality(grid: Grid) -> list[TopologyViolation]:
     """Open-ring operation check.
 
     With primary-substation and switching-station busbars split per incident
@@ -254,8 +240,7 @@ def check_radiality(grid: Grid, switch_state: dict[str, bool] | None = None) -> 
     at primary busbars. Rings through a switching station busbar survive the
     splitting and are therefore permitted, as are exact parallel lines.
     """
-    state = _state_map(grid, switch_state)
-    edges = _split_graph(grid, state)
+    edges = _split_graph(grid, _state_map(grid))
     primary = {b.id for b in grid.buses if b.kind == "primary_substation"}
 
     violations = []
@@ -285,8 +270,13 @@ def check_radiality(grid: Grid, switch_state: dict[str, bool] | None = None) -> 
     return violations
 
 
-def derive_radial_state(grid: Grid, switch_state: dict[str, bool] | None = None) -> dict[str, bool]:
+def derive_radial_state(grid: Grid) -> dict[str, bool]:
     """Choose the normal-operation switch state: open rings, balanced cuts.
+
+    The search starts from every switch closed, so the open points are
+    chosen fresh. The positions stored in the grid carry no meaning on a
+    rebuilt structure: a legacy open point may sit on what is now the only
+    supply path.
 
     Every conducting cycle of the bus graph is opened — including rings that
     run through station busbars, which are structurally legal but operated
@@ -299,7 +289,7 @@ def derive_radial_state(grid: Grid, switch_state: dict[str, bool] | None = None)
     violations without an openable switch are left for
     :func:`check_radiality`.
     """
-    state = _state_map(grid, switch_state)
+    state = {s.id: True for s in grid.switches}
     for _ in range(len(grid.lines) + len(grid.switches) + 1):
         target = _pick_radiality_cut(grid, state)
         if target is None:
@@ -525,12 +515,11 @@ def find_stubs(grid: Grid) -> frozenset[str]:
     return _weak_stations(grid, cuttable=lambda line_id: True)
 
 
-def check_contingency_supply(grid: Grid,
-                             switch_state: dict[str, bool] | None = None) -> list[TopologyViolation]:
+def check_contingency_supply(grid: Grid) -> list[TopologyViolation]:
     """Each station flagged ``requires_contingency_supply`` must stay
     connectable to a source after removal of any single energized line,
     allowing arbitrary reconfiguration of the existing switches."""
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid)
     energized = _energized(grid, state)
     energized_lines = {l.id for l in _conducting_lines(grid, state)
                        if l.from_bus in energized or l.to_bus in energized}
@@ -558,7 +547,7 @@ class Feeder:
     lines: tuple[str, ...]
 
 
-def find_feeders(grid: Grid, switch_state: dict[str, bool] | None = None) -> list[Feeder]:
+def find_feeders(grid: Grid) -> list[Feeder]:
     """Decompose the energized grid into feeders hanging off busbars.
 
     Intended for radially operated states: every energized bus that is not
@@ -568,7 +557,7 @@ def find_feeders(grid: Grid, switch_state: dict[str, bool] | None = None) -> lis
     station belongs to the primary-side feeder. Every bus a claim reaches is
     energized, so each conducting line at it leads to an energized bus.
     """
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid)
     hops = _flood(grid, state, _sources(grid), frozenset())
     busbars = [b.id for b in grid.buses if b.kind in SPLITTING_KINDS and b.id in hops]
     busbars.sort(key=lambda bid: (hops[bid], bid))
@@ -619,7 +608,7 @@ def find_feeders(grid: Grid, switch_state: dict[str, bool] | None = None) -> lis
 def feeder_bays(grid: Grid) -> int:
     """Number of feeder bays at primary-substation MV busbars (protection
     devices are counted per bay, which also works for meshed operation)."""
-    state = _state_map(grid, None)
+    state = _state_map(grid)
     energized = _energized(grid, state)
     bays = 0
     for line in _conducting_lines(grid, state):
@@ -799,25 +788,18 @@ def _trip(grid: Grid, failed: Line, state: dict[str, bool]):
     return tripped, post
 
 
-def fault_analysis(grid: Grid, failed_line: str,
-                   switch_state: dict[str, bool] | None = None) -> FaultAnalysis:
-    """Outage footprint of a single line fault.
+def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
+                    pre: frozenset[str], stations: set[str]) -> FaultAnalysis:
+    """Outage footprint of a single line fault on ``failed`` in ``state``.
 
     ``affected_stations`` lose supply with the protection trip;
     ``remote_resuppliable`` is the subset for which some purely
     remote-controlled switching set isolates the fault and restores supply.
-    """
-    state = _state_map(grid, switch_state)
-    return _fault_analysis(grid, grid.lines_by_id[failed_line], state,
-                           _energized(grid, state), {b.id for b in grid.stations()})
-
-
-def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
-                    pre: frozenset[str], stations: set[str]) -> FaultAnalysis:
-    """:func:`fault_analysis` given the pre-fault energized buses and the
+    ``pre`` holds the pre-fault energized buses and ``stations`` the
     station ids, which are the same for every fault of one FMEA. The
     tripped breakers are opened in ``state`` itself while the footprint is
-    searched, and closed again before it returns."""
+    searched, and closed again before it returns.
+    """
     if failed.from_bus not in pre and failed.to_bus not in pre:
         # nothing feeds the fault: no current, no trip, no outage
         return FaultAnalysis(failed.id, (), frozenset(), frozenset())
@@ -836,9 +818,10 @@ def _fault_analysis(grid: Grid, failed: Line, state: dict[str, bool],
     return FaultAnalysis(failed.id, tuple(tripped), affected, seeds - cut_off)
 
 
-def resupply_sequence(grid: Grid, failed_line: str,
-                      switch_state: dict[str, bool] | None = None) -> SwitchingSequence:
-    """Switching sequence restoring supply after a fault on ``failed_line``.
+def _resupply(grid: Grid, failed: Line, state: dict[str, bool],
+              pre: frozenset[str], stations: set[str]) -> SwitchingSequence:
+    """Switching sequence restoring supply after a fault on ``failed``, a
+    line that conducts in ``state`` and is energized.
 
     Stages: protection trip, isolation of the faulted line at its adjacent
     switches, then resupply (re-close tripped breakers where safe, close
@@ -857,25 +840,10 @@ def resupply_sequence(grid: Grid, failed_line: str,
     failed line is refused at the line's end, without tracing the whole
     component behind it.
 
-    Raises:
-        ValueError: the line is not energized in the pre-fault state.
+    ``pre`` holds the pre-fault energized buses and ``stations`` the station
+    ids, which are the same for every fault of one N-1 check. ``state`` is
+    not changed: the sequence works on a copy, its ``resulting_state``.
     """
-    state = _state_map(grid, switch_state)
-    failed = grid.lines_by_id.get(failed_line)
-    if failed is None:
-        raise ValueError(f"unknown line {failed_line!r}")
-    pre = _energized(grid, state)
-    if not _conducts(grid, state)(failed) or (
-            failed.from_bus not in pre and failed.to_bus not in pre):
-        raise ValueError(f"line {failed_line!r} is not energized in the pre-fault state")
-    return _resupply(grid, failed, state, pre, {b.id for b in grid.stations()})
-
-
-def _resupply(grid: Grid, failed: Line, state: dict[str, bool],
-              pre: frozenset[str], stations: set[str]) -> SwitchingSequence:
-    """:func:`resupply_sequence` of an energized, conducting line given the
-    pre-fault energized buses and the station ids, which are the same for
-    every fault of one N-1 check."""
     failed_line = failed.id
     actions: list[SwitchAction] = []
     tripped, state = _trip(grid, failed, state)

@@ -31,23 +31,21 @@ from gridforge.power_flow import (
     S_BASE_MVA,
     check_contingency_operation,
     check_normal_operation,
-    polar_jacobian,
     run_power_flow,
 )
 from gridforge.principles import principles_from_dict
 from gridforge.reliability import (
     ReliabilityParams,
+    _automate,
     apply_automation,
-    automate_for_reliability,
     check_reliability,
     fmea,
 )
 from gridforge.topology import (
     check_contingency_supply,
     check_radiality,
+    _energized,
     check_supply,
-    energized_buses,
-    resupply_sequence,
 )
 
 import test_economics
@@ -55,6 +53,7 @@ import test_pipeline
 import test_planner
 import test_power_flow
 import test_reliability
+import test_topology
 
 RESULTS: list[str] = []
 
@@ -133,7 +132,7 @@ def test_02_jacobian_matches_finite_differences():
     worst = 0.0
     for _ in range(100):
         ybus, vm, va, sbus, pq = test_power_flow.random_state(rng)
-        analytic = polar_jacobian(ybus, vm, va, pq)
+        analytic = test_power_flow.polar_jacobian(ybus, vm, va, pq)
         numeric = test_power_flow.finite_difference_jacobian(ybus, vm, va, sbus, pq)
         rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
         worst = max(worst, rel)
@@ -231,7 +230,7 @@ def test_06_radiality_triptych_and_resupply_sequence():
     assert check_radiality(fx.station_ring_demo()) == []  # via station: fine
 
     grid = fx.resupply_demo()
-    seq = resupply_sequence(grid, "l2")
+    seq = test_topology.resupply(grid, "l2")
     # four steps: the breaker trips, the fault is isolated on both sides,
     # the breaker re-closes, the tie picks up the far section
     assert [(a.switch, a.action, a.stage) for a in seq.actions] == [
@@ -242,7 +241,7 @@ def test_06_radiality_triptych_and_resupply_sequence():
         ("tie@s2", "close", "resupply"),
     ]
     assert seq.unsupplied == ()
-    live = energized_buses(grid, seq.resulting_state, frozenset(("l2",)))
+    live = _energized(grid, seq.resulting_state, frozenset(("l2",)))
     assert {b.id for b in grid.stations()} <= live
     return ("verdicts pass/fail/pass; trip, isolate, re-close and tie "
             "resupply every station")
@@ -365,7 +364,7 @@ def test_10_automation_loop_terminates_and_complies():
     before = check_reliability(grid, params, baseline)
     assert before, "fixture must start in violation"
 
-    chosen = automate_for_reliability(grid, params, baseline)
+    chosen = _automate(grid, params, baseline)[0]
     assert chosen
     for bus in chosen:
         grid = apply_automation(grid, bus)

@@ -714,9 +714,9 @@ def test_phase1_without_candidates_repositions_the_switches():
         ("SetSectioningPoint", "d3@s2", False),
         ("SetSectioningPoint", "tie@s3", True)]
     built = plans[0].grid
-    assert check_radiality(built, None) == []
-    assert check_supply(built, None) == []
-    assert check_contingency_supply(built, None) == []
+    assert check_radiality(built) == []
+    assert check_supply(built) == []
+    assert check_contingency_supply(built) == []
 
 
 def test_phase1_without_candidates_raises_on_a_broken_grid():
@@ -741,9 +741,9 @@ def test_phase1_builds_feasible_radial_topologies_from_trails():
     for plan in plans:
         assert sum(m.cost_per_year for m in plan.measures) == pytest.approx(47609.433, abs=1e-2)
         assert plan.grid.switches_by_id["c_tie@c2"].closed
-        assert check_radiality(plan.grid, None) == []
-        assert check_supply(plan.grid, None) == []
-        assert check_contingency_supply(plan.grid, None) == []
+        assert check_radiality(plan.grid) == []
+        assert check_supply(plan.grid) == []
+        assert check_contingency_supply(plan.grid) == []
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ iteration that only needs a linear solve per sweep.
 
 import math
 import random
-import time
 from dataclasses import replace
 from operator import itemgetter
 
@@ -30,8 +29,6 @@ from gridforge.power_flow import (
     check_contingency_operation,
     check_normal_operation,
     contingency_cases,
-    polar_jacobian,
-    polar_mismatch,
     run_power_flow,
 )
 from gridforge.planner import (
@@ -43,7 +40,7 @@ from gridforge.planner import (
     phase4_mesh,
 )
 from gridforge.principles import principles_from_dict
-from gridforge.topology import energized_buses
+from gridforge.topology import _energized
 
 from test_topology import with_switch_state
 
@@ -204,13 +201,16 @@ def test_random_radial_matches_fixed_point(seed):
 
 
 def test_oracle_suite_runtime_budget():
-    start = time.perf_counter()
+    # a work budget that machine speed cannot move: the Newton iterations
+    # of the 10 solves (25 when written) and the fixed-point sweeps of each
+    # oracle solve (at most 6 when written; more raise)
+    iterations = 0
     for seed in range(10):
         rng = random.Random(1000 + seed)
         grid = random_radial_grid(rng, rng.randint(5, 28))
-        run_power_flow(grid, PEAK_LOAD)
-        fixed_point_solve(grid, PEAK_LOAD)
-    assert time.perf_counter() - start < 5.0
+        iterations += run_power_flow(grid, PEAK_LOAD).iterations
+        fixed_point_solve(grid, PEAK_LOAD, max_sweeps=6)
+    assert iterations <= 25
 
 
 def test_two_transformer_component_holds_both_setpoints():
@@ -273,6 +273,18 @@ def random_state(rng: np.random.Generator):
     sbus = rng.uniform(-2, 2, size=n) + 1j * rng.uniform(-1, 1, size=n)
     pq = np.arange(1, n)
     return ybus, vm, va, sbus, pq
+
+
+def polar_mismatch(ybus, vm, va, sbus, pq):
+    """The package's power mismatch at the PQ buses of a polar voltage state."""
+    v = vm * np.exp(1j * va)
+    return power_flow._mismatch(v, ybus @ v, sbus, pq)
+
+
+def polar_jacobian(ybus, vm, va, pq):
+    """The package's Jacobian of :func:`polar_mismatch` w.r.t. [va[pq], vm[pq]]."""
+    v = vm * np.exp(1j * va)
+    return power_flow._jacobian(ybus[np.ix_(pq, pq)], v, ybus @ v, pq)
 
 
 def finite_difference_jacobian(ybus, vm, va, sbus, pq, h=1e-5):
@@ -558,7 +570,7 @@ def _reference_components(grid, scenario, switch_state, exclude_lines):
     state = {s.id: s.closed for s in grid.switches}
     state.update((k, v) for k, v in (switch_state or {}).items() if k in state)
     inj = apply_scenario(grid, scenario)
-    energized = energized_buses(grid, state, exclude_lines)
+    energized = _energized(grid, state, exclude_lines)
     lines = [l for l in grid.lines
              if l.in_service and l.id not in exclude_lines
              and all(state[s.id] for s in grid.switches_by_line.get(l.id, ()))
@@ -822,7 +834,7 @@ def test_solve_plans_match_the_reference_on_several_infeeds(chunk):
             assert exact(result) == expect, seed
             assert_near_joint(result, joint_reference_power_flow(grid, PEAK_LOAD, state,
                                                                  excluded), seed)
-        several += len(power_flow._compile(grid, power_flow._state_map(grid, None),
+        several += len(power_flow._compile(grid, power_flow._state_map(grid),
                                            frozenset())) > 1
     assert several > 20
 
@@ -885,7 +897,7 @@ def test_a_diverging_block_drops_its_whole_component():
     # carry its load, so neither feeder nor the busbar gets a voltage, while
     # the separate component behind m2 is solved
     grid = diverging_grid()
-    plan = power_flow._compile(grid, power_flow._state_map(grid, None), frozenset())
+    plan = power_flow._compile(grid, power_flow._state_map(grid), frozenset())
     assert [len(c.blocks) for c in plan] == [2, 1]
 
     result = run_power_flow(grid, PEAK_LOAD)
@@ -906,7 +918,7 @@ def test_unchanged_blocks_come_from_the_memo(monkeypatch):
     # candidates that differ in one feeder's cable type or length solve only
     # that feeder again; every result equals the unscoped solve bit for bit
     grid = fx.example_area()
-    plan = power_flow._compile(grid, power_flow._state_map(grid, None), frozenset())
+    plan = power_flow._compile(grid, power_flow._state_map(grid), frozenset())
     blocks = [b for c in plan for b in c.blocks]
     assert len(blocks) > 2
     line = grid.lines[blocks[1].key[0]]
@@ -939,7 +951,7 @@ def test_contingency_check_shares_unchanged_feeders(monkeypatch):
                 if s.name == "peak_load")
     cases = contingency_cases(grid)
     blocks = sum(len(c.blocks) for case in cases
-                 for c in power_flow._compile(grid, power_flow._state_map(grid, case.resulting_state),
+                 for c in power_flow._compile(grid, case.resulting_state,
                                               frozenset((case.failed_line,))))
     newton = power_flow._newton
     calls = []
@@ -1275,7 +1287,8 @@ def plan_fields(grid, plan):
 
 
 def compiled(grid, state, excluded=frozenset()):
-    return power_flow._compile(grid, power_flow._state_map(grid, state), excluded)
+    return power_flow._compile(grid, {**power_flow._state_map(grid), **(state or {})},
+                               excluded)
 
 
 def case_plans(grid, monkeypatch):
@@ -1427,7 +1440,7 @@ def test_plans_derive_for_any_switch_flip_or_line_outage(build):
     # beyond the N-1 cases: every single switch flipped from the normal
     # state, and every single line excluded
     grid = build()
-    state = power_flow._state_map(grid, None)
+    state = power_flow._state_map(grid)
     base = compiled(grid, state)
     for sw in grid.switches:
         flipped = {**state, sw.id: not state[sw.id]}
@@ -1444,7 +1457,7 @@ def test_a_tie_between_substations_moves_and_merges_components(monkeypatch):
     plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}
     assert [c.bus_ids for c in plans["la1"]] == [("a1", "a2", "c1", "c2", "m2"), ("b1", "m1")]
     # closed in the normal state, the tie joins the two substations
-    state = power_flow._state_map(grid, None)
+    state = power_flow._state_map(grid)
     closed = {**state, "tie@a2": True}
     merged = power_flow._derive(grid, compiled(grid, state), ["tie"], closed, frozenset())
     assert [c.bus_ids for c in merged] == [("a1", "a2", "b1", "c1", "c2", "m1", "m2")]
@@ -1460,7 +1473,7 @@ def test_a_busbar_whose_only_feeder_fails_stands_alone(monkeypatch):
 
 def test_a_tie_lights_a_dark_region(monkeypatch):
     grid = dark_station_beside_a_ring()
-    state = power_flow._state_map(grid, None)
+    state = power_flow._state_map(grid)
     base = compiled(grid, state)
     assert "z1" not in base[0].bus_ids
     plans = {case.failed_line: plan for case, plan, _ in case_plans(grid, monkeypatch)}

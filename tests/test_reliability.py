@@ -23,8 +23,8 @@ from gridforge.reliability import (
     FmeaResult,
     ReliabilityError,
     ReliabilityParams,
+    _automate,
     apply_automation,
-    automate_for_reliability,
     check_reliability,
     fmea,
     installed_power_kw,
@@ -351,7 +351,7 @@ def test_automation_loop_repairs_the_ring_pair():
     grid = fx.ring_pair_grid(1.9)
     assert check_reliability(grid, PARAMS, baseline), "fixture must start violated"
 
-    chosen = automate_for_reliability(grid, PARAMS, baseline)
+    chosen = _automate(grid, PARAMS, baseline)[0]
     assert chosen == ["r6", "r5", "r7", "r8", "r3", "r4", "r2"]
     for bus in chosen:
         grid = apply_automation(grid, bus)
@@ -369,14 +369,14 @@ def test_automation_loop_runs_one_fmea_per_round(monkeypatch):
     assert any(v.kind == "asidi_increase" for v in check_reliability(grid, PARAMS, baseline))
     calls = []
     monkeypatch.setattr(reliability, "fmea", lambda *args: calls.append(1) or fmea(*args))
-    chosen = automate_for_reliability(grid, PARAMS, baseline)
+    chosen = _automate(grid, PARAMS, baseline)[0]
     assert len(calls) == len(chosen) + 1
 
 
 def test_automation_loop_returns_empty_when_already_compliant():
     grid = fx.double_feeder_grid()
     baseline = fmea(grid, PARAMS)
-    assert automate_for_reliability(grid, PARAMS, baseline) == []
+    assert _automate(grid, PARAMS, baseline)[0] == []
 
 
 def test_automation_loop_raises_when_out_of_options():
@@ -386,5 +386,5 @@ def test_automation_loop_raises_when_out_of_options():
     baseline = fmea(short, PARAMS)
     grid = fx.single_station_grid()  # ten times the failure exposure
     with pytest.raises(ReliabilityError) as info:
-        automate_for_reliability(grid, PARAMS, baseline)
+        _automate(grid, PARAMS, baseline)[0]
     assert info.value.violations, "the error must carry the residual violations"

@@ -31,8 +31,10 @@ from gridforge.topology import (
     SwitchingSequence,
     _closed_tie,
     _energized,
+    _fault_analysis,
     _fault_closure,
     _non_remote_tie,
+    _resupply,
     _state_map,
     _trip,
     check_contingency_supply,
@@ -40,12 +42,9 @@ from gridforge.topology import (
     check_supply,
     conducting_path,
     derive_radial_state,
-    energized_buses,
-    fault_analysis,
     feeder_bays,
     find_feeders,
     find_stubs,
-    resupply_sequence,
 )
 
 
@@ -55,6 +54,22 @@ def with_switch_state(grid, switch_state):
     return grid.replace(switches=tuple(
         dataclasses.replace(s, closed=switch_state.get(s.id, s.closed))
         for s in grid.switches))
+
+
+def resupply(grid, failed_line):
+    """The switching sequence after a fault on ``failed_line`` in the
+    grid's own switch state."""
+    state = _state_map(grid)
+    return _resupply(grid, grid.lines_by_id[failed_line], state, _energized(grid, state),
+                     {b.id for b in grid.stations()})
+
+
+def footprint(grid, failed_line):
+    """The outage footprint of a fault on ``failed_line`` in the grid's own
+    switch state."""
+    state = _state_map(grid)
+    return _fault_analysis(grid, grid.lines_by_id[failed_line], state,
+                           _energized(grid, state), {b.id for b in grid.stations()})
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +202,7 @@ def test_exact_parallel_lines_count_as_one_edge():
     b.load("s2", 0.3)
     grid = b.build()
     assert check_radiality(grid) == []
-    derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
+    derived = derive_radial_state(grid)
     assert all(derived.values()), "parallel twins must both stay closed"
 
 
@@ -228,7 +243,7 @@ def test_energized_matches_component_oracle(build):
         state = {s.id: rng.random() < 0.8 for s in grid.switches}
         states.append(state)
     for state in states:
-        assert energized_buses(grid, state) == reachable_oracle(grid, state)
+        assert _energized(grid, state) == reachable_oracle(grid, state)
 
     line_ids = [l.id for l in grid.lines]
     for _ in range(8):
@@ -238,7 +253,7 @@ def test_energized_matches_component_oracle(build):
             for l in grid.lines))
         exclude = frozenset(rng.sample(line_ids, rng.randint(0, min(3, len(line_ids)))))
         for state in rng.sample(states, 3):
-            assert (energized_buses(damaged, state, exclude)
+            assert (_energized(damaged, state, exclude)
                     == reachable_oracle(damaged, state, exclude))
 
 
@@ -246,7 +261,7 @@ def test_check_supply_names_dark_stations():
     grid = fx.open_ring_demo()
     state = {s.id: s.closed for s in grid.switches}
     state["f1@mv"] = False
-    violations = check_supply(grid, state)
+    violations = check_supply(with_switch_state(grid, state))
     assert [(v.kind, v.element) for v in violations] == [
         ("unsupplied", "s1"), ("unsupplied", "s2"), ("unsupplied", "s3")]
     assert check_supply(grid) == []
@@ -258,7 +273,7 @@ def test_check_supply_names_dark_stations():
 
 def test_derivation_opens_ring_pair_at_the_tie():
     grid = fx.ring_pair_grid(1.6)
-    derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
+    derived = derive_radial_state(grid)
     assert sorted(k for k, v in derived.items() if not v) == ["tie@r4"]
 
 
@@ -275,34 +290,33 @@ def test_derivation_balances_single_ring(n_stations):
         prev = f"r{i}"
     b.line(f"g{n_stations + 1}", prev, "mv", 1.0, CABLE_150, breaker_at=("mv",))
     grid = b.build()
-    derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
-    assert check_radiality(grid, derived) == []
-    sizes = sorted(len(f.buses) for f in find_feeders(grid, derived))
+    radial = with_switch_state(grid, derive_radial_state(grid))
+    assert check_radiality(radial) == []
+    sizes = sorted(len(f.buses) for f in find_feeders(radial))
     assert sizes == sorted((n_stations // 2, n_stations - n_stations // 2))
+
+
+@pytest.mark.parametrize("build", [
+    fx.example_area, fx.station_tradeoff_area, fx.mesh_tradeoff_area,
+], ids=lambda build: build.__name__)
+def test_derivation_ignores_the_stored_switch_positions(build):
+    grid = build()
+    expect = derive_radial_state(grid)
+    rng = random.Random(build.__name__)
+    # all open, all closed, the derived state itself, and random states
+    stored = [{s.id: False for s in grid.switches}, {s.id: True for s in grid.switches}, expect]
+    stored += [{s.id: rng.random() < 0.5 for s in grid.switches} for _ in range(8)]
+    for state in stored:
+        assert derive_radial_state(with_switch_state(grid, state)) == expect
 
 
 def test_derivation_keeps_every_station_energized():
     for build in (fx.example_area, fx.station_tradeoff_area, fx.mesh_tradeoff_area):
         grid = build()
         all_closed = {s.id: True for s in grid.switches}
-        derived = derive_radial_state(grid, all_closed)
-        assert check_radiality(grid, derived) == []
-        assert energized_buses(grid, derived) == energized_buses(grid, all_closed)
-
-
-def test_derivation_only_opens_switches():
-    grid = fx.example_area()
-    start = {s.id: s.closed for s in grid.switches}
-    derived = derive_radial_state(grid)
-    for sid, closed in derived.items():
-        if not start[sid]:
-            assert not closed, f"{sid} was opened before and must stay open"
-
-
-def test_derivation_is_idempotent():
-    grid = fx.example_area()
-    derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
-    assert derive_radial_state(grid, derived) == derived
+        derived = derive_radial_state(grid)
+        assert check_radiality(with_switch_state(grid, derived)) == []
+        assert _energized(grid, derived) == _energized(grid, all_closed)
 
 
 def infeed_chain(n_a: int, n_b: int, *, ring: bool) -> GridBuilder:
@@ -336,17 +350,18 @@ def infeed_chain(n_a: int, n_b: int, *, ring: bool) -> GridBuilder:
 def test_derivation_cuts_a_path_between_two_infeeds_near_its_middle(n_a, n_b, cut, ring):
     grid = infeed_chain(n_a, n_b, ring=ring).build()
     all_closed = {s.id: True for s in grid.switches}
-    assert {v.kind for v in check_radiality(grid, all_closed)} == {"feeder_coupling"}
-    derived = derive_radial_state(grid, all_closed)
+    assert {v.kind for v in check_radiality(with_switch_state(grid, all_closed))} == {
+        "feeder_coupling"}
+    derived = derive_radial_state(grid)
     opened = sorted(sid for sid, closed in derived.items() if not closed)
     assert opened == ([cut, "q2@r1"] if ring else [cut])
-    assert check_radiality(grid, derived) == []
-    assert energized_buses(grid, derived) == energized_buses(grid, all_closed)
+    assert check_radiality(with_switch_state(grid, derived)) == []
+    assert _energized(grid, derived) == _energized(grid, all_closed)
 
 
 def test_derived_cuts_on_the_planning_area():
     grid = fx.example_area()
-    derived = derive_radial_state(grid, {s.id: True for s in grid.switches})
+    derived = derive_radial_state(grid)
     opened = sorted(sid for sid, closed in derived.items() if not closed)
     # hop-balanced midpoints of the five conducting loops, standby route last
     assert opened == ["a_tie@a3", "b_tie@b3", "c_3@c2", "c_8@c6", "sup1b@m1"]
@@ -580,7 +595,7 @@ def test_fault_footprints_on_the_double_feeder():
         "tie": (("d4@mv",), {"s4", "s5"}, set()),
     }
     for line_id, (tripped, affected, remote) in expect.items():
-        fa = fault_analysis(grid, line_id)
+        fa = footprint(grid, line_id)
         assert fa.tripped_breakers == tripped, line_id
         assert fa.affected_stations == frozenset(affected), line_id
         assert fa.remote_resuppliable == frozenset(remote), line_id
@@ -590,15 +605,10 @@ def test_fault_on_dark_line_has_no_footprint():
     grid = fx.double_feeder_grid()
     state = {s.id: s.closed for s in grid.switches}
     state["tie@s5"] = False  # now both tie ends are open
-    fa = fault_analysis(grid, "tie", state)
+    fa = footprint(with_switch_state(grid, state), "tie")
     assert fa.tripped_breakers == ()
     assert fa.affected_stations == frozenset()
     assert fa.remote_resuppliable == frozenset()
-
-
-def test_fault_analysis_unknown_line():
-    with pytest.raises(KeyError):
-        fault_analysis(fx.two_bus_grid(), "ghost")
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +617,7 @@ def test_fault_analysis_unknown_line():
 
 def test_resupply_restores_all_stations():
     grid = fx.resupply_demo()
-    seq = resupply_sequence(grid, "l2")
+    seq = resupply(grid, "l2")
     assert [(a.switch, a.action, a.stage, a.actuation) for a in seq.actions] == [
         ("l1@mv", "open", "trip", "protection_trip"),
         ("l2@s1", "open", "isolate", "manual"),
@@ -619,30 +629,22 @@ def test_resupply_restores_all_stations():
     # the faulted line ends up isolated on both sides
     assert seq.resulting_state["l2@s1"] is False
     assert seq.resulting_state["l2@s2"] is False
-    live = energized_buses(grid, seq.resulting_state, frozenset(("l2",)))
+    live = _energized(grid, seq.resulting_state, frozenset(("l2",)))
     assert {b.id for b in grid.stations()} <= live
 
 
 def test_resupply_stage_order():
-    seq = resupply_sequence(fx.resupply_demo(), "l2")
+    seq = resupply(fx.resupply_demo(), "l2")
     order = {"trip": 0, "isolate": 1, "resupply": 2}
     stages = [order[a.stage] for a in seq.actions]
     assert stages == sorted(stages)
 
 
 def test_resupply_with_no_alternative_leaves_station_dark():
-    seq = resupply_sequence(fx.two_bus_grid(), "l1")
+    seq = resupply(fx.two_bus_grid(), "l1")
     assert [(a.switch, a.action) for a in seq.actions] == [
         ("l1@mv", "open"), ("l1@s1", "open")]
     assert seq.unsupplied == ("s1",)
-
-
-def test_resupply_rejects_dark_line():
-    grid = fx.double_feeder_grid()
-    state = {s.id: s.closed for s in grid.switches}
-    state["tie@s5"] = False
-    with pytest.raises(ValueError, match="not energized"):
-        resupply_sequence(grid, "tie", state)
 
 
 def test_switch_actions_are_frozen_records():
@@ -651,10 +653,10 @@ def test_switch_actions_are_frozen_records():
         action.action = "close"
 
 
-def resupply_oracle(grid, failed_line, switch_state):
+def resupply_oracle(grid, failed_line):
     """The switching sequence with every candidate's energized set searched
     again from the sources and its fault zone always traced."""
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid)
     failed = grid.lines_by_id[failed_line]
     pre = _energized(grid, state)
     actions = []
@@ -715,8 +717,9 @@ def resupply_oracle(grid, failed_line, switch_state):
 def damaged_infeeds(rng: random.Random):
     """A :func:`random_infeeds` grid with lines out of service, hard-wired
     line ends (so fault zones spread past the faulted line), remote-controlled
-    switches, and a switch state with some open chords closed, so that one
-    fault can trip several breakers."""
+    switches, and some open chords closed, so that one fault can trip
+    several breakers. The switch state is stored in the grid and returned
+    as a map too."""
     grid = random_infeeds(rng).build()
     out_of_service = {l.id for l in grid.lines if rng.random() < 0.15}
     hard_wired = {s.id for s in grid.switches
@@ -727,17 +730,17 @@ def damaged_infeeds(rng: random.Random):
         switches=tuple(dataclasses.replace(s, remote_controlled=rng.random() < 0.3)
                        for s in grid.switches if s.id not in hard_wired))
     state = {s.id: s.closed or rng.random() < 0.25 for s in grid.switches}
-    return grid, state
+    return with_switch_state(grid, state), state
 
 
 @pytest.mark.parametrize("chunk", range(10))
 def test_resupply_matches_the_full_recompute_oracle(chunk):
     faults = 0
     for seed in range(40 * chunk, 40 * chunk + 40):
-        grid, state = damaged_infeeds(random.Random(seed))
-        for feeder in find_feeders(grid, state):
-            seq = resupply_sequence(grid, feeder.head_line, state)
-            expect = resupply_oracle(grid, feeder.head_line, state)
+        grid, _ = damaged_infeeds(random.Random(seed))
+        for feeder in find_feeders(grid):
+            seq = resupply(grid, feeder.head_line)
+            expect = resupply_oracle(grid, feeder.head_line)
             assert seq.actions == expect.actions, (seed, feeder.head_line)
             assert seq.resulting_state == expect.resulting_state, (seed, feeder.head_line)
             assert seq.unsupplied == expect.unsupplied, (seed, feeder.head_line)
@@ -764,8 +767,8 @@ def test_resupply_demo_matches_the_oracle_at_both_early_stops(failed_line, reclo
         return zone
 
     monkeypatch.setattr(topology, "_fault_closure", traced)
-    seq = resupply_sequence(grid, failed_line)
-    expect = resupply_oracle(grid, failed_line, None)
+    seq = resupply(grid, failed_line)
+    expect = resupply_oracle(grid, failed_line)
     assert (seq.actions, seq.resulting_state, seq.unsupplied) == \
         (expect.actions, expect.resulting_state, expect.unsupplied)
     (breaker,) = [a.switch for a in seq.actions if a.stage == "trip"]
@@ -802,11 +805,11 @@ def remote_reach_oracle(grid, state, failed_line, avoid_buses, avoid_bodies):
     return frozenset(b for b in buses if labels[index[b]] in live)
 
 
-def footprint_oracle(grid, failed_line, switch_state):
+def footprint_oracle(grid, failed_line):
     """Affected and remote-resuppliable stations of a fault, each searched
     over the whole grid: the buses energized before the fault minus those
     energized after the trip, and the remote reach around the closure."""
-    state = _state_map(grid, switch_state)
+    state = _state_map(grid)
     failed = grid.lines_by_id[failed_line]
     pre = reachable_oracle(grid, state)
     if failed.from_bus not in pre and failed.to_bus not in pre:
@@ -822,12 +825,12 @@ def footprint_oracle(grid, failed_line, switch_state):
 @pytest.mark.parametrize("chunk", range(10))
 def test_fault_footprints_match_the_whole_grid_oracle(chunk):
     for seed in range(40 * chunk, 40 * chunk + 40):
-        grid, state = damaged_infeeds(random.Random(seed))
+        grid, _ = damaged_infeeds(random.Random(seed))
         for line in grid.lines:
             if line.in_service:
-                fa = fault_analysis(grid, line.id, state)
+                fa = footprint(grid, line.id)
                 assert (fa.affected_stations, fa.remote_resuppliable) == \
-                    footprint_oracle(grid, line.id, state), (seed, line.id)
+                    footprint_oracle(grid, line.id), (seed, line.id)
 
 
 def test_the_footprint_oracle_inputs_hold_the_rare_faults():
@@ -836,10 +839,10 @@ def test_the_footprint_oracle_inputs_hold_the_rare_faults():
     only partly resuppliable by remote switching."""
     untripped = partial = 0
     for seed in range(400):
-        grid, state = damaged_infeeds(random.Random(seed))
+        grid, _ = damaged_infeeds(random.Random(seed))
         for line in grid.lines:
             if line.in_service:
-                fa = fault_analysis(grid, line.id, state)
+                fa = footprint(grid, line.id)
                 untripped += not fa.tripped_breakers and bool(fa.affected_stations)
                 partial += frozenset() < fa.remote_resuppliable < fa.affected_stations
     assert untripped > 0
@@ -848,10 +851,9 @@ def test_the_footprint_oracle_inputs_hold_the_rare_faults():
 
 def test_contingency_cases_are_the_resupply_sequences_of_the_feeder_heads():
     for seed in range(100):
-        grid, state = damaged_infeeds(random.Random(seed))
-        assert contingency_cases(with_switch_state(grid, state)) == tuple(
-            resupply_sequence(grid, f.head_line, state)
-            for f in find_feeders(grid, state)), seed
+        grid, _ = damaged_infeeds(random.Random(seed))
+        assert contingency_cases(grid) == tuple(
+            resupply(grid, f.head_line) for f in find_feeders(grid)), seed
 
 
 def test_outage_matrix_matches_fault_analysis_row_by_row():
@@ -860,15 +862,15 @@ def test_outage_matrix_matches_fault_analysis_row_by_row():
     t_slow = params.t_locate + params.t_onsite
     remote_rows = 0
     for seed in range(150):
-        grid, state = damaged_infeeds(random.Random(seed))
+        grid, _ = damaged_infeeds(random.Random(seed))
         expect = {}
         for line in grid.lines:
             if line.in_service:
-                fa = fault_analysis(grid, line.id, state)
+                fa = footprint(grid, line.id)
                 expect[line.id] = {s: t_fast if s in fa.remote_resuppliable else t_slow
                                    for s in fa.affected_stations}
                 remote_rows += bool(fa.remote_resuppliable)
-        assert outage_matrix(with_switch_state(grid, state), params) == expect, seed
+        assert outage_matrix(grid, params) == expect, seed
     assert remote_rows > 0
 
 
