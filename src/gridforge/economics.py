@@ -2,9 +2,12 @@
 
 All comparisons between grid concepts run on annual cost (EUR/a). Catalog
 positions are annual rates; one-off investments are converted with the
-standard annuity formula. Concept-level overhead (impedance protection,
-directional fault indicators for closed-ring operation) is charged grid-wide
-once any ring is operated closed.
+standard annuity formula. A measure carries its own price
+(``cost_per_year``), set by the planner where the measure is made, so the
+cost a plan reports is the cost its search minimized; :func:`plan_cost`
+only sums those prices by category. Concept-level overhead (impedance
+protection, directional fault indicators for closed-ring operation) is
+charged grid-wide once any ring is operated closed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ CONCEPTS = ("radial", "closed_ring", "switching_station")
 
 COST_CATEGORIES = ("cables", "switching_stations", "communication_links", "protection")
 
-#: measure kind -> cost category; kinds missing here are free of charge
+#: measure kind -> cost category; kinds missing here carry no price
 _CATEGORY_BY_KIND = {
     "AddTrail": "cables",
     "AddParallel": "cables",
@@ -87,40 +90,18 @@ class CostBreakdown:
                 merged[category] = merged.get(category, 0.0) + value
         return CostBreakdown(merged)
 
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown({c: v * factor for c, v in self.categories.items()})
 
-
-def measure_cost(grid: Grid, measure, cost_model: CostModel) -> float:
-    """Annual cost of a single measure, recomputed from its content."""
-    kind = measure.kind
-    if kind in ("AddTrail",):
-        return measure.length_km * cost_model.cable_per_km
-    if kind in ("AddParallel", "ReplaceLine"):
-        line = grid.lines_by_id.get(measure.target)
-        length = line.length if line is not None else (measure.length_km or 0.0)
-        return length * cost_model.cable_per_km
-    if kind == "RenewSwitchingStation":
-        return cost_model.switching_station
-    if kind == "AutomateStation":
-        return cost_model.communication_link
-    # SetSectioningPoint, CloseRing, RemoveSwitchingStation: switching and
-    # dismantling are free in the catalog
-    return 0.0
-
-
-def plan_cost(grid: Grid, measures: Iterable, cost_model: CostModel) -> CostBreakdown:
+def plan_cost(measures: Iterable) -> CostBreakdown:
     """Total annual cost of a measure set, broken down by category.
 
-    ``grid`` is the grid the measures refer to (line lengths for parallels
-    and replacements are taken from it).
+    Each measure's ``cost_per_year`` is its price; kinds without a category
+    (sectioning moves, ring closures) add nothing.
     """
     categories = {c: 0.0 for c in COST_CATEGORIES}
     for measure in measures:
         category = _CATEGORY_BY_KIND.get(measure.kind)
-        if category is None:
-            continue
-        categories[category] += measure_cost(grid, measure, cost_model)
+        if category is not None:
+            categories[category] += measure.cost_per_year
     return CostBreakdown(categories)
 
 

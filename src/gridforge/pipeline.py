@@ -126,7 +126,7 @@ def _run_task(task) -> dict[str, ConceptPlan]:
     with PlanMemo():
         try:
             topo = phase1_topologies(
-                dismantled, trails, replace(params, n_topologies=1, seed=seed + k))[0]
+                dismantled, trails, replace(params, n_topologies=1), seed=seed + k)[0]
             reinf = phase2_reinforce(topo.grid, principles.scenarios,
                                      principles.cost_model, params, seed=base + 1)
             auto = phase3_automate(reinf.grid, baseline, principles.reliability,
@@ -135,10 +135,11 @@ def _run_task(task) -> dict[str, ConceptPlan]:
             return {c: ConceptPlan(c, k, feasible=False, error=str(exc))
                     for c in ((concept, "closed_ring") if mesh else (concept,))}
 
-        measures = topo.measures + reinf.measures + auto.measures + bookkeeping
+        measures = (topo.measures + reinf.moves + reinf.cable_measures + auto.measures
+                    + bookkeeping)
         out = {concept: ConceptPlan(
             concept, k, feasible=True, grid=auto.grid, measures=measures,
-            cost=plan_cost(auto.grid, measures, principles.cost_model), fmea=auto.fmea)}
+            cost=plan_cost(measures), fmea=auto.fmea)}
         if mesh:
             out["closed_ring"] = _mesh_plan(k, reinf, auto.measures, topo.measures,
                                             bookkeeping, principles, base + 3)
@@ -154,9 +155,8 @@ def _mesh_plan(k: int, reinf: ReinforcementPlan, auto_measures: tuple[Measure, .
                            principles.planner, seed=seed)
     except PlannerError as exc:
         return ConceptPlan("closed_ring", k, feasible=False, error=str(exc))
-    moves = tuple(m for m in reinf.measures if m.kind == "SetSectioningPoint")
-    measures = topo_measures + moves + auto_measures + mesh.measures + bookkeeping
-    cost = (plan_cost(mesh.grid, measures, principles.cost_model)
+    measures = topo_measures + reinf.moves + auto_measures + mesh.measures + bookkeeping
+    cost = (plan_cost(measures)
             + concept_overhead(mesh.grid, "closed_ring", principles.cost_model))
     return ConceptPlan(
         "closed_ring", k, feasible=True, grid=mesh.grid, measures=measures,

@@ -73,7 +73,8 @@ MEASURE_KINDS = (
 
 @dataclass(frozen=True)
 class Measure:
-    """One catalog measure; annual cost in EUR/a is carried on the measure."""
+    """One catalog measure. ``cost_per_year`` (EUR/a) is its price, set where
+    the measure is made; :func:`~gridforge.economics.plan_cost` only sums it."""
 
     kind: str
     target: str
@@ -101,14 +102,15 @@ class PlannerParams:
     perturbation: float = 0.05  # fraction of pool bits flipped per kick
     non_improving_limit: int = 20
     restarts: int = 2
-    seed: int = 0
+    seed: int = 0  # base of every search seed; the pipeline derives them
     cable_catalog: tuple[str, ...] = ()  # type names, ascending ampacity
 
     def __post_init__(self):
-        if self.n_topologies < 1:
-            raise ValueError("n_topologies must be >= 1")
-        if self.trail_factor < 1.0:
-            raise ValueError("trail_factor must be >= 1")
+        for name, low in (("n_topologies", 1), ("dismantle_threshold_km", 0),
+                          ("trail_factor", 1), ("max_evaluations", 1),
+                          ("non_improving_limit", 1), ("restarts", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.perturbation <= 1.0:
             raise ValueError("perturbation must be in (0, 1]")
 
@@ -317,22 +319,23 @@ def _site_pairs(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
     return pairs
 
 
-def candidate_trails(grid: Grid, line_type: str,
-                     stations: Sequence[str] | None = None, *,
-                     trail_factor: float = 1.5,
+def candidate_trails(grid: Grid, line_type: str, *, trail_factor: float = 1.5,
                      cost_model: CostModel | None = None) -> list[Measure]:
-    """New-line candidates between the stations hit by dismantling.
+    """New-line candidates between the stations hit by dismantling, as
+    recorded in ``meta["dismantled_stations"]``.
 
     Neighbour pairs come from a Delaunay triangulation of the station
     coordinates; each candidate's route length is the air-line distance
     stretched by ``trail_factor``. Pairs already joined by an in-service
     line are skipped.
+
+    Raises:
+        ValueError: the grid carries no dismantling record.
     """
     cost_model = cost_model or CostModel()
+    stations = grid.meta.get("dismantled_stations")
     if stations is None:
-        stations = grid.meta.get("dismantled_stations")
-        if stations is None:
-            raise ValueError("grid carries no dismantling record; pass stations=")
+        raise ValueError("grid carries no dismantling record")
     ids = sorted(s for s in stations if s in grid.buses_by_id)
     points = [(grid.buses_by_id[i].x, grid.buses_by_id[i].y) for i in ids]
 
@@ -397,8 +400,7 @@ Objective = Callable[[tuple[Measure, ...]], tuple[float, Violations]]
 
 
 def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
-        *, seed: int | None = None,
-        start: Sequence[bool] | None = None) -> IlsResult:
+        *, seed: int, start: Sequence[bool] | None = None) -> IlsResult:
     """Minimize cost + violation penalties over subsets of ``pool``.
 
     ``objective`` maps an active measure tuple to its annual cost and a
@@ -420,14 +422,12 @@ def ils(pool: Sequence[Measure], objective: Objective, params: PlannerParams,
     ``violations()`` surfaces only when they are.
 
     Raises:
-        ValueError: empty pool, or an evaluation budget below 1.
+        ValueError: empty pool, or a start vector of the wrong length.
     """
     if not pool:
         raise ValueError("empty measure pool")
-    if params.max_evaluations < 1:
-        raise ValueError("zero evaluation budget")
     n = len(pool)
-    rng = random.Random(params.seed if seed is None else seed)
+    rng = random.Random(seed)
     count_weight = 10.0 * max(sum(m.cost_per_year for m in pool), 1.0)
 
     memo: dict[tuple[bool, ...], CandidateSolution] = {}
@@ -575,9 +575,10 @@ def _persist_radial_state(grid: Grid) -> tuple[Grid, tuple[Measure, ...]]:
 
 
 def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
-                      params: PlannerParams) -> list[StagePlan]:
+                      params: PlannerParams, *, seed: int) -> list[StagePlan]:
     """Build ``n_topologies`` radial, contingency-proof topologies from the
-    trail candidates; diversity comes from per-run seeds and random starts.
+    trail candidates; diversity comes from per-run seeds (run ``k`` searches
+    with ``seed + k``) and random starts.
 
     Raises:
         PlannerError: a run ends infeasible (trail pool insufficient).
@@ -603,7 +604,7 @@ def phase1_topologies(dismantled: Grid, trails: Sequence[Measure],
 
     plans = []
     for k in range(params.n_topologies):
-        run_seed = params.seed + k
+        run_seed = seed + k
         start = _greedy_spanning_start(
             dismantled, pool, random.Random(f"{run_seed}:start"))
         result = ils(pool, objective, params, seed=run_seed, start=start)
@@ -705,14 +706,14 @@ def _reinforcement_pool(grid: Grid, params: PlannerParams,
 @dataclass(frozen=True)
 class ReinforcementPlan:
     grid: Grid  # feasible reinforced grid
-    measures: tuple[Measure, ...]  # sectioning moves + chosen cables
+    moves: tuple[Measure, ...]  # the free sectioning moves
     base_grid: Grid  # after sectioning moves, before any cable measure
     cable_measures: tuple[Measure, ...]  # the chosen cables, re-appliable
 
 
 def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
                      cost_model: CostModel, params: PlannerParams, *,
-                     seed: int | None = None) -> ReinforcementPlan:
+                     seed: int) -> ReinforcementPlan:
     """Clear voltage/loading violations: free sectioning moves first, then
     the cheapest sufficient set of line replacements and parallels.
 
@@ -750,18 +751,24 @@ def phase2_reinforce(grid: Grid, scenarios: Sequence[Scenario],
             raise PlannerError("grid cannot be reinforced within the catalog",
                                probe_report.entries)
 
-        result = ils(pool, objective, params, seed=params.seed if seed is None else seed)
+        result = ils(pool, objective, params, seed=seed)
         cables = result.best.measures(pool)
         if not result.best.feasible:
             raise PlannerError(
                 "reinforcement search ended infeasible (budget too small?)",
                 _operation_report(apply_measures(base, cables), scenarios).entries)
-        return ReinforcementPlan(apply_measures(base, cables), moves + cables,
-                                 base, cables)
+        return ReinforcementPlan(apply_measures(base, cables), moves, base, cables)
 
 
 # --------------------------------------------------------------------------
 # phase 3: automation for reliability
+
+
+def _links(buses: Sequence[str], cost_model: CostModel) -> tuple[Measure, ...]:
+    """The priced automation of each bus: its communication link."""
+    return tuple(Measure(kind="AutomateStation", target=bus,
+                         cost_per_year=cost_model.communication_link)
+                 for bus in buses)
 
 
 def phase3_automate(grid: Grid, baseline: FmeaResult,
@@ -773,11 +780,7 @@ def phase3_automate(grid: Grid, baseline: FmeaResult,
     stations, result = _automate(grid, reliability, baseline)
     for bus in stations:
         grid = apply_automation(grid, bus)
-    measures = tuple(
-        Measure(kind="AutomateStation", target=bus,
-                cost_per_year=cost_model.communication_link)
-        for bus in stations)
-    return StagePlan(grid=grid, measures=measures, fmea=result)
+    return StagePlan(grid=grid, measures=_links(stations, cost_model), fmea=result)
 
 
 # --------------------------------------------------------------------------
@@ -793,7 +796,7 @@ def _closure_candidates(grid: Grid) -> list[Switch]:
 
 def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str],
                 scenarios: Sequence[Scenario], cost_model: CostModel,
-                params: PlannerParams, *, seed: int | None = None) -> StagePlan:
+                params: PlannerParams, *, seed: int) -> StagePlan:
     """Close rings where that pays: the pool offers every sectioning point
     as a closure and every phase-2 cable measure as droppable; a closed
     point forces automation of its station. The plan's cost carries the
@@ -842,14 +845,10 @@ def phase4_mesh(reinforcement: ReinforcementPlan, automation_buses: Sequence[str
 
     start = [m.kind != "CloseRing" for m in pool]  # = the radial solution
     with _scope():  # a direct call's checks share one memo
-        result = ils(pool, objective, params,
-                     seed=params.seed if seed is None else seed, start=start)
+        result = ils(pool, objective, params, seed=seed, start=start)
         chosen = result.best.measures(pool)
         if not result.best.feasible:
             raise PlannerError("meshing search lost feasibility",
                                _operation_report(realize(chosen), scenarios).entries)
-    links = tuple(
-        Measure(kind="AutomateStation", target=bus,
-                cost_per_year=cost_model.communication_link)
-        for bus in forced_automation(chosen))
-    return StagePlan(grid=realize(chosen), measures=chosen + links)
+    return StagePlan(grid=realize(chosen),
+                     measures=chosen + _links(forced_automation(chosen), cost_model))

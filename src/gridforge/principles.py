@@ -66,6 +66,13 @@ def _band(doc: dict, key: str, path: str, default: tuple[float, float]) -> tuple
     return low, high
 
 
+def _loading_max(doc: dict, path: str, default: float) -> float:
+    value = _number(doc, "loading_max", path, default)
+    if value <= 0:
+        raise SchemaError(f"{path}.loading_max", "must be > 0")
+    return value
+
+
 def _parse_scenarios(doc: dict[str, Any]) -> tuple[Scenario, ...]:
     bands = doc.get("voltage_bands", {})
     _require(bands, dict, "$.voltage_bands", "an object")
@@ -74,7 +81,7 @@ def _parse_scenarios(doc: dict[str, Any]) -> tuple[Scenario, ...]:
             raise SchemaError(f"$.voltage_bands.{key}", "unexpected field")
     v_min, v_max = _band(bands, "normal", "$.voltage_bands", (0.96, 1.04))
     v_min_cont, v_max_cont = _band(bands, "contingency", "$.voltage_bands", (0.90, 1.10))
-    loading_max = _number(bands, "loading_max", "$.voltage_bands", 100.0)
+    loading_max = _loading_max(bands, "$.voltage_bands", 100.0)
     limits = dict(v_min=v_min, v_max=v_max, v_min_cont=v_min_cont,
                   v_max_cont=v_max_cont, loading_max=loading_max)
 
@@ -106,7 +113,9 @@ def _parse_scenarios(doc: dict[str, Any]) -> tuple[Scenario, ...]:
                 raise SchemaError(f"{path}.{key}", "missing required field")
             fields[key] = float(_require(entry[key], (int, float), f"{path}.{key}", "a number"))
         for key in limits:
-            if key in entry:
+            if key == "loading_max":
+                fields[key] = _loading_max(entry, path, fields[key])
+            elif key in entry:
                 fields[key] = float(_require(entry[key], (int, float), f"{path}.{key}", "a number"))
         scenarios.append(Scenario(name=name, **fields))
     return tuple(scenarios)
@@ -168,14 +177,12 @@ def _parse_reliability(doc: dict[str, Any]) -> ReliabilityParams:
             if value < 0:
                 raise SchemaError(f"$.reliability_params.failure_rate.{name}", "must be >= 0")
             rates[name] = value
-    path = "$.reliability_params"
-    return ReliabilityParams(
-        failure_rate=rates,
-        t_locate=_number(raw, "t_locate", path, defaults.t_locate),
-        t_onsite=_number(raw, "t_onsite", path, defaults.t_onsite),
-        t_remote=_number(raw, "t_remote", path, defaults.t_remote),
-        e_out_max=_number(raw, "e_out_max", path, defaults.e_out_max),
-    )
+    limits = {}
+    for key in ("t_locate", "t_onsite", "t_remote", "e_out_max"):
+        limits[key] = _number(raw, key, "$.reliability_params", getattr(defaults, key))
+        if limits[key] < 0:
+            raise SchemaError(f"$.reliability_params.{key}", "must be >= 0")
+    return ReliabilityParams(failure_rate=rates, **limits)
 
 
 def _parse_planner(doc: dict[str, Any]) -> PlannerParams:

@@ -1,5 +1,9 @@
 """Annuities, measure prices and the concept surcharges.
 
+A measure carries its price from where the planner makes it; the plans of
+the example area and both trade-off areas are checked against each kind's
+catalog rule, recomputed from the measure and the planned grid.
+
 The annuity oracle simulates the loan: the correct yearly payment is the
 one that amortizes the debt to exactly zero after the depreciation period,
 found by bisection without touching the closed-form formula.
@@ -18,10 +22,11 @@ from gridforge.economics import (
     CostModel,
     annualize,
     concept_overhead,
-    measure_cost,
     plan_cost,
 )
-from gridforge.planner import Measure
+from gridforge.pipeline import run_area
+from gridforge.planner import MEASURE_KINDS, Measure
+from gridforge.principles import principles_from_dict
 
 
 # --------------------------------------------------------------------------
@@ -105,28 +110,54 @@ def test_station_renewal_equals_over_five_km_of_cable():
 # per-measure prices
 
 
-def test_measure_cost_table():
-    grid = fx.open_ring_demo()
-    model = CostModel()
-    cases = [
-        (Measure("AddTrail", "s1", to_station="s4", length_km=1.3), 1.3 * 7000.0),
-        (Measure("ReplaceLine", "f2", line_type="NA2XS2Y 3x1x300"), 0.95 * 7000.0),
-        (Measure("AddParallel", "f1", line_type="NA2XS2Y 3x1x150"), 1.05 * 7000.0),
-        (Measure("RenewSwitchingStation", "ss"), 35900.0),
-        (Measure("AutomateStation", "s2"), 1200.0),
-        (Measure("SetSectioningPoint", "tie@s3", closed=True), 0.0),
-        (Measure("CloseRing", "tie@s3"), 0.0),
-        (Measure("RemoveSwitchingStation", "ss"), 0.0),
+@pytest.fixture(scope="module")
+def planned_areas():
+    """(principles, report) of the example area and both trade-off areas."""
+    tradeoff = principles_from_dict(fx.tradeoff_principles_dict())
+    example = principles_from_dict(fx.example_principles_dict())
+    return [
+        (example, run_area(fx.example_area(), example)),
+        (tradeoff, run_area(fx.station_tradeoff_area(), tradeoff)),
+        (tradeoff, run_area(fx.mesh_tradeoff_area(), tradeoff)),
     ]
-    for measure, expected in cases:
-        assert measure_cost(grid, measure, model) == pytest.approx(expected), measure.kind
 
 
-def test_replacement_cost_falls_back_to_carried_length():
-    grid = fx.open_ring_demo()
-    model = CostModel()
-    gone = Measure("ReplaceLine", "not_there", length_km=2.5)
-    assert measure_cost(grid, gone, model) == pytest.approx(2.5 * 7000.0)
+def catalog_price(measure: Measure, grid, model: CostModel) -> float:
+    """A measure's annual price by its kind's catalog rule."""
+    if measure.kind == "AddTrail":
+        return measure.length_km * model.cable_per_km
+    if measure.kind in ("ReplaceLine", "AddParallel"):
+        return grid.lines_by_id[measure.target].length * model.cable_per_km
+    if measure.kind == "AutomateStation":
+        return model.communication_link
+    if measure.kind == "RenewSwitchingStation":
+        return model.switching_station
+    return 0.0
+
+
+def test_every_planned_measure_is_priced_by_its_kind(planned_areas):
+    categories = {"AddTrail": "cables", "ReplaceLine": "cables", "AddParallel": "cables",
+                  "AutomateStation": "communication_links",
+                  "RenewSwitchingStation": "switching_stations"}
+    kinds = set()
+    for principles, report in planned_areas:
+        model = principles.cost_model
+        for plans in report.plans.values():
+            for plan in plans:
+                if plan.cost is None:
+                    continue
+                want = {c: 0.0 for c in COST_CATEGORIES}
+                for m in plan.measures:
+                    kinds.add(m.kind)
+                    price = catalog_price(m, plan.grid, model)
+                    assert m.cost_per_year == price, (report.area, plan.concept, m)
+                    if m.kind in categories:
+                        want[categories[m.kind]] += price
+                if plan.concept == "closed_ring":
+                    want["protection"] += concept_overhead(
+                        plan.grid, "closed_ring", model).categories["protection"]
+                assert plan.cost.categories == want, (report.area, plan.concept)
+    assert kinds == set(MEASURE_KINDS)  # every rule was exercised
 
 
 def test_measure_validation():
@@ -143,17 +174,16 @@ def test_measure_validation():
 
 
 def test_plan_cost_fills_categories():
-    grid = fx.open_ring_demo()
-    model = CostModel()
     measures = [
-        Measure("AddTrail", "s1", to_station="s4", length_km=2.0),
-        Measure("ReplaceLine", "f2", line_type="NA2XS2Y 3x1x300"),
-        Measure("AutomateStation", "s2"),
-        Measure("AutomateStation", "s5"),
-        Measure("RenewSwitchingStation", "ss"),
+        Measure("AddTrail", "s1", to_station="s4", length_km=2.0, cost_per_year=14000.0),
+        Measure("ReplaceLine", "f2", line_type="NA2XS2Y 3x1x300", cost_per_year=6650.0),
+        Measure("AutomateStation", "s2", cost_per_year=1200.0),
+        Measure("AutomateStation", "s5", cost_per_year=1200.0),
+        Measure("RenewSwitchingStation", "ss", cost_per_year=35900.0),
+        Measure("RemoveSwitchingStation", "ss"),
         Measure("SetSectioningPoint", "tie@s3", closed=True),
     ]
-    breakdown = plan_cost(grid, measures, model)
+    breakdown = plan_cost(measures)
     assert breakdown.categories["cables"] == pytest.approx((2.0 + 0.95) * 7000.0)
     assert breakdown.categories["communication_links"] == pytest.approx(2400.0)
     assert breakdown.categories["switching_stations"] == pytest.approx(35900.0)
@@ -162,12 +192,10 @@ def test_plan_cost_fills_categories():
 
 
 def test_plan_cost_is_additive():
-    grid = fx.open_ring_demo()
-    model = CostModel()
-    first = [Measure("AddTrail", "s1", to_station="s4", length_km=2.0)]
-    second = [Measure("AutomateStation", "s2")]
-    combined = plan_cost(grid, first + second, model)
-    split = plan_cost(grid, first, model) + plan_cost(grid, second, model)
+    first = [Measure("AddTrail", "s1", to_station="s4", length_km=2.0, cost_per_year=14000.0)]
+    second = [Measure("AutomateStation", "s2", cost_per_year=1200.0)]
+    combined = plan_cost(first + second)
+    split = plan_cost(first) + plan_cost(second)
     assert combined.categories == split.categories
 
 
@@ -178,7 +206,6 @@ def test_breakdown_arithmetic():
     assert merged.categories["cables"] == 150.0
     assert merged.categories["protection"] == 30.0
     assert set(merged.categories) == set(COST_CATEGORIES)
-    assert a.scaled(2.0).total == 200.0
 
 
 # --------------------------------------------------------------------------

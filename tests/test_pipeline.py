@@ -176,7 +176,7 @@ def test_reference_selection_distrusts_the_optimizer(mesh_report, tradeoff_princ
     baseline = fmea(grid, tradeoff_principles.reliability)
     # a fraudulent plan: the untouched grid (voltage violations) at zero cost
     fake = ConceptPlan("radial", 0, feasible=True, grid=grid, measures=(),
-                       cost=plan_cost(grid, (), tradeoff_principles.cost_model),
+                       cost=plan_cost(()),
                        fmea=baseline)
     genuine = replace(mesh_report.references["radial"],
                       topology=1, feasible=True, reference=False, violations=())

@@ -177,20 +177,21 @@ def test_search_matches_exhaustive_enumeration():
 
 def test_search_rejects_an_empty_pool():
     with pytest.raises(ValueError, match="empty"):
-        ils([], lambda active: (0.0, lambda: (0, 0.0)), PlannerParams())
+        ils([], lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(), seed=0)
 
 
 def test_search_rejects_a_zero_evaluation_budget():
-    pool = [Measure(kind="AutomateStation", target="a")]
-    with pytest.raises(ValueError, match="budget"):
-        ils(pool, lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(max_evaluations=0))
+    # the parameters refuse it, so no search can start without a budget
+    with pytest.raises(ValueError, match="max_evaluations must be >= 1"):
+        PlannerParams(max_evaluations=0)
 
 
 def test_search_rejects_a_start_vector_of_the_wrong_length():
     pool = [Measure(kind="AutomateStation", target="a"),
             Measure(kind="AutomateStation", target="b")]
     with pytest.raises(ValueError, match="start vector"):
-        ils(pool, lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(), start=[True])
+        ils(pool, lambda active: (0.0, lambda: (0, 0.0)), PlannerParams(), seed=0,
+            start=[True])
 
 
 def test_search_evaluates_the_all_off_vector_first():
@@ -265,11 +266,11 @@ def test_search_keeps_a_cost_free_optimum():
 # evaluation count and trace, also when the budget runs out mid-climb.
 
 
-def reference_ils(pool, objective, params, *, seed=None, start=None):
+def reference_ils(pool, objective, params, *, seed, start=None):
     """``objective`` maps the active measures to (cost, count, magnitude).
     Returns (best, evaluations, trace)."""
     n = len(pool)
-    rng = random.Random(params.seed if seed is None else seed)
+    rng = random.Random(seed)
     count_weight = 10.0 * max(sum(m.cost_per_year for m in pool), 1.0)
     memo = {}
     best, evaluations, trace = None, 0, []
@@ -524,12 +525,17 @@ def test_trail_candidates_cover_the_neighbour_pairs():
     assert trails[0].length_km == pytest.approx(2.4)  # 1.6 km air line
 
 
+def _hit(grid, *stations):
+    """The grid with ``stations`` recorded as hit by dismantling."""
+    return grid.replace(meta={**grid.meta, "dismantled_stations": list(stations)})
+
+
 def test_trail_candidates_skip_pairs_already_joined_by_a_line():
     area = fx.station_tradeoff_area()
-    assert candidate_trails(area, fx.CABLE_150.name, stations=["c1", "c2"]) == []
+    assert candidate_trails(_hit(area, "c1", "c2"), fx.CABLE_150.name) == []
     # an open sectioning point still counts as joined: the line exists
-    assert candidate_trails(area, fx.CABLE_150.name, stations=["c2", "c3"]) == []
-    free = candidate_trails(area, fx.CABLE_150.name, stations=["c1", "c3"])
+    assert candidate_trails(_hit(area, "c2", "c3"), fx.CABLE_150.name) == []
+    free = candidate_trails(_hit(area, "c1", "c3"), fx.CABLE_150.name)
     assert [(m.target, m.to_station) for m in free] == [("c1", "c3")]
 
 
@@ -540,8 +546,7 @@ def test_trail_candidates_need_a_dismantling_record():
 
 def test_trail_candidates_ignore_unknown_station_ids():
     area = dismantle(fx.station_tradeoff_area(), 2.0, remove_station=True)
-    trails = candidate_trails(area, fx.CABLE_150.name,
-                              stations=["c1", "c4", "ghost"])
+    trails = candidate_trails(_hit(area, "c1", "c4", "ghost"), fx.CABLE_150.name)
     assert [(m.target, m.to_station) for m in trails] == [("c1", "c4")]
 
 
@@ -551,8 +556,8 @@ def test_trail_candidates_skip_coincident_stations():
     b.bus("a", "secondary_substation", 100.0, 100.0)
     b.bus("b", "secondary_substation", 100.0, 100.0)  # same cabinet location
     b.bus("c", "secondary_substation", 400.0, 500.0)
-    grid = b.build()
-    trails = candidate_trails(grid, fx.CABLE_150.name, stations=["a", "b", "c"])
+    grid = b.build(dismantled_stations=["a", "b", "c"])
+    trails = candidate_trails(grid, fx.CABLE_150.name)
     assert [(m.target, m.to_station) for m in trails] == [("a", "c"), ("b", "c")]
 
 
@@ -563,9 +568,8 @@ def test_co_sited_stations_each_get_trails():
     b.bus("b", "secondary_substation", 100.0, 100.0)  # same cabinet location
     b.bus("c", "secondary_substation", 400.0, 500.0)
     b.bus("d", "secondary_substation", 900.0, 100.0)
-    grid = b.build()
-    trails = candidate_trails(grid, fx.CABLE_150.name,
-                              stations=["mv", "a", "b", "c", "d"])
+    grid = b.build(dismantled_stations=["mv", "a", "b", "c", "d"])
+    trails = candidate_trails(grid, fx.CABLE_150.name)
     # four distinct coordinates are triangulated; b takes a's trails
     assert [(m.target, m.to_station) for m in trails] == [
         ("a", "c"), ("a", "d"), ("a", "mv"), ("b", "c"), ("b", "d"), ("b", "mv"),
@@ -706,7 +710,7 @@ def test_station_removal_measure_takes_the_attached_lines():
 def test_phase1_without_candidates_repositions_the_switches():
     grid = fx.double_feeder_grid()
     params = PlannerParams(n_topologies=3, max_evaluations=500, seed=11)
-    plans = phase1_topologies(grid, [], params)
+    plans = phase1_topologies(grid, [], params, seed=11)
     assert len(plans) == 3
     assert all(p.grid == plans[0].grid and p.measures == plans[0].measures
                for p in plans)
@@ -722,7 +726,7 @@ def test_phase1_without_candidates_repositions_the_switches():
 def test_phase1_without_candidates_raises_on_a_broken_grid():
     broken = dismantle(fx.two_bus_grid(), 2.0)
     with pytest.raises(PlannerError, match="not viable") as info:
-        phase1_topologies(broken, [], PlannerParams(n_topologies=1))
+        phase1_topologies(broken, [], PlannerParams(n_topologies=1), seed=0)
     assert [(v.kind, v.element) for v in info.value.violations] == [("unsupplied", "s1")]
 
 
@@ -731,7 +735,7 @@ def test_phase1_builds_feasible_radial_topologies_from_trails():
     trails = candidate_trails(area, fx.CABLE_150.name)
     params = PlannerParams(n_topologies=3, max_evaluations=600,
                            non_improving_limit=4, restarts=0, seed=3)
-    plans = phase1_topologies(area, trails, params)
+    plans = phase1_topologies(area, trails, params, seed=3)
     assert len(plans) == 3
     picks = [[(m.target, m.to_station) for m in p.measures if m.kind == "AddTrail"]
              for p in plans]
@@ -771,9 +775,9 @@ def _lopsided_ring(load_sn=2.4, segment_km=4.0):
 def test_phase2_rebalances_feeders_for_free():
     grid = _lopsided_ring()
     assert not check_normal_operation(grid, SCENARIOS).feasible
-    plan = phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams())
+    plan = phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams(), seed=0)
     assert plan.cable_measures == ()
-    assert [(m.kind, m.target, m.closed) for m in plan.measures] == [
+    assert [(m.kind, m.target, m.closed) for m in plan.moves] == [
         ("SetSectioningPoint", "k5@g4", True),
         ("SetSectioningPoint", "k4@g3", False)]
     assert plan.grid is plan.base_grid
@@ -785,8 +789,8 @@ def test_phase2_rebalances_feeders_for_free():
 def test_phase2_chooses_cables_when_switching_cannot_help():
     mesh = fx.mesh_tradeoff_area()
     pr = principles_from_dict(fx.tradeoff_principles_dict())
-    plan = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner)
-    assert plan.measures == plan.cable_measures  # no free moves existed
+    plan = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner, seed=3)
+    assert plan.moves == ()  # no free moves existed
     assert sorted((m.kind, m.target) for m in plan.cable_measures) == [
         ("AddParallel", "h3"), ("ReplaceLine", "h7")]
     assert all(m.cost_per_year == pytest.approx(13300.0) for m in plan.cable_measures)
@@ -799,7 +803,8 @@ def test_phase2_chooses_cables_when_switching_cannot_help():
 def test_phase2_raises_without_reinforcement_candidates():
     grid = fx.two_bus_grid(sn_mva=12.0)  # overloaded, nothing in the catalog
     with pytest.raises(PlannerError, match="catalog empty"):
-        phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams(cable_catalog=()))
+        phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams(cable_catalog=()),
+                         seed=0)
 
 
 def test_phase2_raises_when_the_catalog_cannot_clear_the_violations():
@@ -807,7 +812,7 @@ def test_phase2_raises_when_the_catalog_cannot_clear_the_violations():
     params = PlannerParams(max_evaluations=2000, non_improving_limit=6, restarts=1,
                            cable_catalog=(fx.CABLE_150.name, fx.CABLE_300.name))
     with pytest.raises(PlannerError, match="within the catalog") as info:
-        phase2_reinforce(grid, SCENARIOS, CostModel(), params)
+        phase2_reinforce(grid, SCENARIOS, CostModel(), params, seed=0)
     assert info.value.violations
 
 
@@ -820,7 +825,7 @@ def test_phase2_on_the_example_area_skips_the_checks_of_bounded_flips(monkeypatc
                      params.dismantle_threshold_km, remove_station=True)
     trails = candidate_trails(area, params.cable_catalog[-1],
                               trail_factor=params.trail_factor, cost_model=pr.cost_model)
-    topology = phase1_topologies(area, trails, params)[0]
+    topology = phase1_topologies(area, trails, params, seed=params.seed)[0]
     results = []
     search = planner.ils
 
@@ -829,7 +834,7 @@ def test_phase2_on_the_example_area_skips_the_checks_of_bounded_flips(monkeypatc
         return results[-1]
 
     monkeypatch.setattr(planner, "ils", recorded)
-    phase2_reinforce(topology.grid, pr.scenarios, pr.cost_model, params)
+    phase2_reinforce(topology.grid, pr.scenarios, pr.cost_model, params, seed=params.seed)
     [result] = results
     assert result.best.feasible
     assert 0 < result.bounded <= result.evaluations
@@ -841,18 +846,19 @@ def test_searches_with_and_without_report_memos_agree(seed, monkeypatch):
     # grid already gave, so phases that share one memo must end where
     # phases whose every check runs in a memo of its own do
     pr = principles_from_dict(fx.tradeoff_principles_dict(seed=seed))
-    params = replace(pr.planner, seed=seed)
+    params = pr.planner
     area = dismantle(fx.station_tradeoff_area(), 2.0, remove_station=True)
     trails = candidate_trails(area, fx.CABLE_300.name)
     grids = [fx.mesh_tradeoff_area(),
-             *(plan.grid for plan in phase1_topologies(area, trails, params))]
+             *(plan.grid for plan in phase1_topologies(area, trails, params, seed=seed))]
 
     def plans():
         out = []
         for grid in grids:
-            reinf = phase2_reinforce(grid, pr.scenarios, pr.cost_model, params)
-            mesh = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, params)
-            out.append((reinf.measures, reinf.grid, mesh.measures, mesh.grid))
+            reinf = phase2_reinforce(grid, pr.scenarios, pr.cost_model, params, seed=seed)
+            mesh = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, params, seed=seed)
+            out.append((reinf.moves, reinf.cable_measures, reinf.grid,
+                        mesh.measures, mesh.grid))
         return out
 
     with PlanMemo():
@@ -872,11 +878,12 @@ def test_a_direct_phase2_call_shares_its_contingency_cases(monkeypatch):
     calls = []
     monkeypatch.setattr(power_flow, "contingency_cases",
                         lambda grid: calls.append(grid) or cases(grid))
-    direct = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner)
+    direct = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner, seed=3)
     n_direct = len(calls)
     calls.clear()
     with PlanMemo():
-        assert phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner) == direct
+        assert phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner,
+                                seed=3) == direct
     assert 0 < n_direct <= len(calls)
 
 
@@ -962,7 +969,7 @@ MESH_SEARCH = PlannerParams(n_topologies=3, max_evaluations=3000,
 def test_phase4_closes_the_ring_when_links_are_cheap():
     mesh = fx.mesh_tradeoff_area()
     pr = principles_from_dict(fx.tradeoff_principles_dict(communication_link=1200.0))
-    reinf = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner)
+    reinf = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner, seed=3)
     plan = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, MESH_SEARCH, seed=3)
     assert [(m.kind, m.target, m.cost_per_year) for m in plan.measures] == [
         ("AddParallel", "h3", 13300.0),
@@ -977,7 +984,7 @@ def test_phase4_closes_the_ring_when_links_are_cheap():
 def test_phase4_stays_radial_when_links_are_dear():
     mesh = fx.mesh_tradeoff_area()
     pr = principles_from_dict(fx.tradeoff_principles_dict(communication_link=30000.0))
-    reinf = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner)
+    reinf = phase2_reinforce(mesh, pr.scenarios, pr.cost_model, pr.planner, seed=3)
     plan = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model, MESH_SEARCH, seed=3)
     assert sorted((m.kind, m.target) for m in plan.measures) == [
         ("AddParallel", "h3"), ("ReplaceLine", "h7")]
@@ -986,10 +993,36 @@ def test_phase4_stays_radial_when_links_are_dear():
 
 def test_phase4_with_nothing_to_decide_returns_the_base():
     grid = fx.two_bus_grid()
-    reinf = phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams())
-    plan = phase4_mesh(reinf, [], SCENARIOS, CostModel(), PlannerParams())
+    reinf = phase2_reinforce(grid, SCENARIOS, CostModel(), PlannerParams(), seed=0)
+    plan = phase4_mesh(reinf, [], SCENARIOS, CostModel(), PlannerParams(), seed=0)
     assert plan.measures == ()
     assert plan.grid == reinf.base_grid
+
+
+# --------------------------------------------------------------------------
+# search seeds
+
+
+def test_the_phases_never_read_the_configured_seed():
+    # the pipeline derives every search seed from PlannerParams.seed; the
+    # phases search with the seed they are given and nothing else
+    pr = principles_from_dict(fx.tradeoff_principles_dict())
+    area = dismantle(fx.station_tradeoff_area(), 2.0, remove_station=True)
+    trails = candidate_trails(area, fx.CABLE_300.name)
+
+    def plans(configured: int):
+        params = replace(pr.planner, n_topologies=2, seed=configured)
+        topologies = phase1_topologies(area, trails, params, seed=5)
+        reinf = phase2_reinforce(fx.mesh_tradeoff_area(), pr.scenarios, pr.cost_model,
+                                 params, seed=5)
+        # a small budget leaves the meshing result to the seed
+        mesh = phase4_mesh(reinf, [], pr.scenarios, pr.cost_model,
+                           replace(params, max_evaluations=10), seed=5)
+        return topologies, reinf, mesh
+
+    first = plans(2)
+    assert first[1].cable_measures  # phase 2 searched
+    assert plans(3) == first
 
 
 # --------------------------------------------------------------------------

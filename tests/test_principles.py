@@ -172,6 +172,42 @@ def test_malformed_planner_params_are_rejected(planner, message):
         principles_from_dict({"planner_params": planner})
 
 
+_SCENARIO = {"name": "peak", "scale_load": 1.0, "scale_pv": 0.0, "scale_wind": 0.0}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"planner_params": {"max_evaluations": 0}}, "$.planner_params"),
+    ({"planner_params": {"restarts": -1}}, "$.planner_params"),
+    ({"planner_params": {"non_improving_limit": -3}}, "$.planner_params"),
+    ({"planner_params": {"dismantle_threshold_km": -1}}, "$.planner_params"),
+    ({"reliability_params": {"t_locate": -1}}, "$.reliability_params.t_locate"),
+    ({"reliability_params": {"t_onsite": -0.5}}, "$.reliability_params.t_onsite"),
+    ({"reliability_params": {"t_remote": -0.01}}, "$.reliability_params.t_remote"),
+    ({"reliability_params": {"e_out_max": -5}}, "$.reliability_params.e_out_max"),
+    ({"voltage_bands": {"loading_max": -10}}, "$.voltage_bands.loading_max"),
+    ({"scenarios": [{**_SCENARIO, "loading_max": 0}]}, "$.scenarios[0].loading_max"),
+], ids=["max_evaluations", "restarts", "non_improving_limit", "dismantle_threshold_km",
+        "t_locate", "t_onsite", "t_remote", "e_out_max", "loading_max",
+        "scenario-loading_max"])
+def test_values_out_of_range_are_rejected(doc, path, request):
+    key = request.node.callspec.id.split("-")[-1]
+    with pytest.raises(SchemaError, match=key) as info:
+        principles_from_dict(doc)
+    assert info.value.path == path
+
+
+def test_the_edges_of_each_range_are_legal():
+    pr = principles_from_dict({
+        "planner_params": {"max_evaluations": 1, "restarts": 0, "non_improving_limit": 1,
+                           "dismantle_threshold_km": 0},
+        "reliability_params": {"t_locate": 0, "t_onsite": 0, "t_remote": 0, "e_out_max": 0},
+        "voltage_bands": {"loading_max": 0.1},
+    })
+    assert (pr.planner.max_evaluations, pr.planner.restarts) == (1, 0)
+    assert pr.reliability.e_out_max == 0.0
+    assert all(s.loading_max == 0.1 for s in pr.scenarios)
+
+
 def test_top_level_schema_checks():
     with pytest.raises(SchemaError, match="an object"):
         principles_from_dict(["voltage_bands"])
